@@ -7,9 +7,15 @@ uncovered fraction
 
     Q(C) = |{y : no x in C has |d(y, x) - n/2| <= lam}| / 2^n
 
-exactly, by several interchangeable algorithms, along with the binomial
-bounds on the balanced-sphere size and the sphere-intersection and
-distance-pair counting formulas.
+exactly, along with the binomial bounds on the balanced-sphere size and the
+sphere-intersection and distance-pair counting formulas.
+
+The count only depends on which cosets of C miss the band, so the engine
+(`coset_counts`, the `wht` method, which `auto` always picks) works in the
+2^(n-k) syndrome space: one Walsh-Hadamard transform of the band's
+Krawtchouk spectrum over the dual code gives the number of band words in
+every coset.  `naive`, `sphere_mark` and `syndrome` stay as independent
+oracles over words.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ __all__ = [
     "QReport",
     "binomial_exact",
     "bounds_check",
+    "coset_counts",
     "coverage_profile",
     "fwht_inplace",
     "is_balancing_set",
@@ -54,10 +61,11 @@ Q_METHODS = ("naive", "sphere_mark", "wht", "syndrome")
 NAIVE_N_CAP = 24
 NAIVE_K_CAP = 20
 SPHERE_MARK_WORK_CAP = 1 << 36
-WHT_N_CAP = 28           # extendable to 32 via allow_large_wht
-WHT_N_HARD_CAP = 32      # int64 intermediate values stay below 2^(n+1)
-WHT_DUAL_CAP = 26        # dual span is materialized for the indicator mask
+BITMAP_N_CAP = 28        # sphere_mark and uncovered_mask hold 2^n booleans
+WHT_DUAL_CAP = 26        # the engine transforms 2^r values, r check rows
+WHT_LENGTH_CAP = 62      # 2^r * N_s <= 2^n stays exact in int64
 SYNDROME_BUCKET_CAP = 26
+FWHT_BLOCK = 1 << 18     # transform levels below this run block by block
 
 # pi truncated to 37 decimal digits; the bracket width 1e-37 < 2^-120 gives
 # the binomial bounds comparisons well over 80 bits of precision
@@ -170,21 +178,46 @@ def bounds_check(n: int, precision_bits: int = 128) -> BinomialBounds:
 
 
 def fwht_inplace(a: np.ndarray) -> None:
-    """Unnormalized in-place Walsh-Hadamard transform (XOR kernel)."""
+    """Unnormalized in-place Walsh-Hadamard transform (XOR kernel).
+
+    The levels below FWHT_BLOCK run block by block, so each block stays in
+    cache through all of them; the higher levels then pair up half-blocks
+    across the array.  Integer arrays wrap, so the result is exact whenever
+    the true final values fit the dtype.
+    """
     size = a.size
     if size & (size - 1):
         raise ValueError(f"length {size} is not a power of two")
-    scratch = np.empty(size // 2, dtype=a.dtype)
-    h = 1
+    block = min(size, FWHT_BLOCK)
+    half = block // 2
+    scratch = np.empty(half, dtype=a.dtype)
+    for start in range(0, size, block):
+        view = a[start : start + block]
+        h = 1
+        while h < block:
+            rows = view.reshape(-1, 2 * h)
+            if h < 8:
+                # numpy runs one long strided column much faster than many
+                # rows of 2 or 4 elements
+                for c in range(h):
+                    _butterfly(rows[:, c], rows[:, c + h], scratch)
+            else:
+                _butterfly(rows[:, :h], rows[:, h:], scratch)
+            h *= 2
+    h = block
     while h < size:
-        view = a.reshape(-1, 2 * h)
-        x = view[:, :h]
-        y = view[:, h:]
-        t = scratch.reshape(x.shape)
-        np.subtract(x, y, out=t)
-        x += y
-        y[:] = t
+        for lo in range(0, size, 2 * h):
+            for c in range(lo, lo + h, half):
+                _butterfly(a[c : c + half], a[c + h : c + h + half], scratch)
         h *= 2
+
+
+def _butterfly(x: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> None:
+    """(x, y) <- (x + y, x - y), in place."""
+    t = scratch[: x.size].reshape(x.shape)
+    np.subtract(x, y, out=t)
+    x += y
+    y[:] = t
 
 
 @lru_cache(maxsize=4)
@@ -220,48 +253,86 @@ def _q_naive(code: LinearCode, spec: BalanceSpec) -> int:
 def _q_sphere_mark(code: LinearCode, spec: BalanceSpec) -> int:
     n = spec.n
     thick = thick_sphere_words(n, spec.lam)
-    if (1 << code.k) * thick.size > SPHERE_MARK_WORK_CAP or n > WHT_N_CAP:
-        raise CapExceededError("sphere_mark work size exceeds cap")
+    if (1 << code.k) * thick.size > SPHERE_MARK_WORK_CAP or n > BITMAP_N_CAP:
+        raise CapExceededError(
+            f"sphere_mark capped at 2^k * |band| <= {SPHERE_MARK_WORK_CAP} "
+            f"and n <= {BITMAP_N_CAP}"
+        )
     covered = np.zeros(1 << n, dtype=bool)
     for x in span_array(code):
         covered[thick ^ x] = True
     return (1 << n) - int(np.count_nonzero(covered))
 
 
-def _wht_counts(code: LinearCode, spec: BalanceSpec, allow_large: bool) -> np.ndarray:
-    """Per-word count of codewords at covering distance, for every y.
+@lru_cache(maxsize=64)
+def _band_spectrum(n: int, lam: int) -> np.ndarray:
+    """T[j] = sum over the band's weights w of the Krawtchouk value K_w(j),
+    i.e. the sum of (-1)^<u, z> over all band words z, for any u of weight j."""
+    lo, hi = n // 2 - lam, n // 2 + lam
+    out = np.array(
+        [
+            sum(
+                (-1) ** i * math.comb(j, i) * math.comb(n - j, w - i)
+                for w in range(lo, hi + 1)
+                for i in range(w + 1)
+            )
+            for j in range(n + 1)
+        ],
+        dtype=np.int64,
+    )
+    out.flags.writeable = False
+    return out
 
-    XOR convolution of the code indicator with the thick-sphere indicator,
-    carried out by two length-2^n transforms in exact int64: the transform
-    of a subspace indicator is known in closed form (|C| on the dual, 0
-    elsewhere), so the dual mask substitutes for the first transform.
-    Intermediate magnitudes stay below 2^(n+1).
+
+def _xor_span(values: list[int]) -> np.ndarray:
+    """XOR of every subset of values, indexed by the subset's bit mask."""
+    out = np.zeros(1, dtype=np.uint64)
+    for v in values:
+        out = np.concatenate([out, out ^ np.uint64(v)])
+    return out
+
+
+def _split_span(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(low, high) with _xor_span(values) = [low ^ u for u in high], low
+    spanning at most the first 16 values, so it can be built block by block."""
+    return _xor_span(values[:16]), _xor_span(values[16:])
+
+
+def coset_counts(spec: BalanceSpec, rows: list[int]) -> np.ndarray:
+    """Number N_s of band words z with syndrome s, for every s in F_2^r.
+
+    Bit j of s is the parity of z against rows[j]; the r rows may be
+    dependent, and then every s outside their image gets N_s = 0.  By the
+    MacWilliams identity, 2^r N_s = sum_a (-1)^<a, s> T[wt(u_a)], where u_a
+    is the XOR of the rows that a selects and T = _band_spectrum: the dual
+    words are weighed, mapped through T and transformed once, at length
+    2^r.  Wrapping arithmetic is exact because 0 <= 2^r N_s <= 2^n, so the
+    transform runs in int32 for n <= 30 and in int64 above.
     """
-    n, k = spec.n, code.k
-    cap = WHT_N_HARD_CAP if allow_large else WHT_N_CAP
-    if n > cap:
-        raise CapExceededError(f"wht method capped at n <= {cap}")
-    if n - k > WHT_DUAL_CAP:
-        raise CapExceededError(
-            f"wht dual mask capped at n - k <= {WHT_DUAL_CAP}; use syndrome"
-        )
-    v = np.zeros(1 << n, dtype=np.int64)
-    v[thick_sphere_words(n, spec.lam)] = 1
-    fwht_inplace(v)
-    dual = span_array(LinearCode(n, code.dual_basis()))
-    keep = v[dual]
-    v[:] = 0
-    v[dual] = keep
+    n, r = spec.n, len(rows)
+    if r > WHT_DUAL_CAP:
+        raise CapExceededError(f"wht capped at r <= {WHT_DUAL_CAP} check rows, got {r}")
+    if n > WHT_LENGTH_CAP:
+        raise CapExceededError(f"wht capped at n <= {WHT_LENGTH_CAP}, got {n}")
+    spectrum = _band_spectrum(n, spec.lam).astype(np.int32 if n <= 30 else np.int64)
+    low, high = _split_span(rows)
+    v = np.empty(1 << r, dtype=spectrum.dtype)
+    for out, u in zip(v.reshape(-1, low.size), high):
+        np.take(spectrum, np.bitwise_count(low ^ u), out=out)
     fwht_inplace(v)
     if __debug__:
-        assert not (v & ((1 << (n - k)) - 1)).any(), "transform not divisible"
-    v >>= n - k
+        assert not (v & ((1 << r) - 1)).any(), "transform not divisible"
+    v >>= r
     return v
 
 
-def _q_wht(code: LinearCode, spec: BalanceSpec, allow_large: bool) -> int:
-    counts = _wht_counts(code, spec, allow_large)
-    return int(np.count_nonzero(counts == 0))
+def _dual_rows(code: LinearCode) -> list[int]:
+    return [h.bits for h in code.dual_basis()]
+
+
+def _q_wht(code: LinearCode, spec: BalanceSpec) -> int:
+    counts = coset_counts(spec, _dual_rows(code))
+    return int(np.count_nonzero(counts == 0)) << code.k
 
 
 def _q_syndrome(code: LinearCode, spec: BalanceSpec) -> int:
@@ -283,44 +354,27 @@ def _q_syndrome(code: LinearCode, spec: BalanceSpec) -> int:
     return ((1 << r) - int(np.count_nonzero(covered))) << k
 
 
-def _pick_method(code: LinearCode, spec: BalanceSpec) -> str:
-    n, k = spec.n, code.k
-    if n <= 16 and k <= 8:
-        return "naive"
-    if n <= WHT_N_CAP - 2 and n - k <= WHT_DUAL_CAP:
-        return "wht"
-    if n - k <= SYNDROME_BUCKET_CAP:
-        return "syndrome"
-    raise CapExceededError(f"no exact method available for n={n}, k={k}")
-
-
-def q_exact(
-    code: LinearCode,
-    spec: BalanceSpec,
-    method: str = "auto",
-    *,
-    allow_large_wht: bool = False,
-) -> QReport:
+def q_exact(code: LinearCode, spec: BalanceSpec, method: str = "auto") -> QReport:
     """Exact uncovered count for the covering band n/2 +- lam.
 
-    Methods (all return identical counts):
+    Methods (all return identical counts; `auto` picks wht):
       naive:       per-word scan over codewords with early exit.
       sphere_mark: mark every covered word in a 2^n bitmap, codeword by
                    codeword.
-      wht:         XOR-convolve code and thick-sphere indicators via the
-                   length-2^n Walsh-Hadamard transform, then count zeros.
-      syndrome:    bucket thick-sphere words by syndrome; counts collapse
-                   onto cosets (cheapest at large n, small k).
+      wht:         coset_counts, one Walsh-Hadamard transform of length
+                   2^(n-k) over the dual code, then count empty cosets.
+      syndrome:    bucket thick-sphere words by syndrome and count empty
+                   buckets.
     """
     _validate(code, spec)
-    chosen = _pick_method(code, spec) if method == "auto" else method
+    chosen = "wht" if method == "auto" else method
     t0 = time.perf_counter()
     if chosen == "naive":
         unc = _q_naive(code, spec)
     elif chosen == "sphere_mark":
         unc = _q_sphere_mark(code, spec)
     elif chosen == "wht":
-        unc = _q_wht(code, spec, allow_large_wht)
+        unc = _q_wht(code, spec)
     elif chosen == "syndrome":
         unc = _q_syndrome(code, spec)
     else:
@@ -334,22 +388,26 @@ def is_balancing_set(code: LinearCode, spec: BalanceSpec, method: str = "auto") 
 
 
 def uncovered_mask(code: LinearCode, spec: BalanceSpec) -> np.ndarray:
-    """Boolean mask over all 2^n words, True where no codeword covers."""
+    """Boolean mask over all 2^n words, True where no codeword covers: the
+    empty cosets of coset_counts, read at each word's syndrome."""
     _validate(code, spec)
-    try:
-        return _wht_counts(code, spec, allow_large=False) == 0
-    except CapExceededError:
-        covered = np.zeros(1 << spec.n, dtype=bool)
-        thick = thick_sphere_words(spec.n, spec.lam)
-        for x in span_array(code):
-            covered[thick ^ x] = True
-        return ~covered
+    n = spec.n
+    if n > BITMAP_N_CAP:
+        raise CapExceededError(f"uncovered_mask capped at n <= {BITMAP_N_CAP}")
+    duals = _dual_rows(code)
+    empty = coset_counts(spec, duals) == 0
+    # the syndrome of coordinate c has bit j set where dual row j has c
+    cols = [sum((h >> c & 1) << j for j, h in enumerate(duals)) for c in range(n)]
+    low, high = _split_span(cols)
+    return np.concatenate([empty[low ^ u] for u in high])
 
 
 def coverage_profile(code: LinearCode, spec: BalanceSpec) -> CoverageProfile:
+    """hist[j] = number of words with exactly j codewords at covering
+    distance; each of the 2^k words of a coset has its coset's count."""
     _validate(code, spec)
-    counts = _wht_counts(code, spec, allow_large=False)
-    hist = np.bincount(counts)
+    counts = coset_counts(spec, _dual_rows(code))
+    hist = np.bincount(counts) << code.k
     return CoverageProfile(spec.n, code.k, spec.lam, tuple(int(h) for h in hist))
 
 

@@ -76,7 +76,7 @@ def _parse_word(text: str, n: int) -> Word:
 def cmd_check(args: argparse.Namespace) -> int:
     code = load_generator_matrix(args.matrix)
     spec = BalanceSpec(code.n, args.lam)
-    report = q_exact(code, spec, args.method, allow_large_wht=args.allow_large_wht)
+    report = q_exact(code, spec, args.method)
     _emit(report.to_json_dict())
     _note(
         f"[check] n={report.n} k={report.k} lambda={report.lam} "
@@ -431,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=int, default=0)
     p.add_argument("--method", default="auto", choices=("auto",) + Q_METHODS)
     p.add_argument("--expect-balancing", action="store_true")
-    p.add_argument("--allow-large-wht", action="store_true")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("greedy", help="grow a balancing basis greedily")

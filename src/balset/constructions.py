@@ -4,7 +4,7 @@ Covers the classical flip-a-prefix balancing set, the zero-extended simplex
 codes and their odd cosets, s-fold repeated simplex codes, a greedy builder
 that grows a subspace by halving the uncovered fraction (squaring Q at every
 step), bit-exact fixture matrices for n = 8..32, and the four dimension
-bounds (two lower, two upper) evaluated in exact or interval arithmetic.
+bounds (two lower, two upper) evaluated in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -409,32 +409,12 @@ def _min_pow(base_mul: int, target: int, step: int) -> int:
 
 
 def _entropy_upper(n: int, lam: int) -> int:
-    """ceil((3/2) log2 n - log2(2 lam + 1) + n (1 - H(1/2 - lam/n))) in
-    interval arithmetic, widening precision until both endpoints agree on
-    the ceiling (falling back to the outward endpoint)."""
-    import mpmath
-
-    iv = mpmath.iv
-    saved = iv.prec
-    try:
-        for prec in (80, 160, 320, 640, 1280):
-            iv.prec = prec
-            ln2 = iv.log(2)
-            p = iv.mpf(n - 2 * lam) / (2 * n)
-            q = 1 - p
-            ent = -(p * iv.log(p) + q * iv.log(q)) / ln2
-            expr = (
-                iv.mpf(3) / 2 * iv.log(n) / ln2
-                - iv.log(2 * lam + 1) / ln2
-                + n * (1 - ent)
-            )
-            lo = mpmath.ceil(expr.a)
-            hi = mpmath.ceil(expr.b)
-            if lo == hi:
-                return int(lo)
-        return int(hi)
-    finally:
-        iv.prec = saved
+    """ceil((3/2) log2 n - log2(2 lam + 1) + n (1 - H(1/2 - lam/n))), in
+    integers: with a = n/2 - lam and b = n/2 + lam, n (1 - H(a/n)) equals
+    n + log2(a^a b^b) - n log2 n, so this is the least e >= 0 with
+    4^e (2 lam + 1)^2 n^(2n) >= n^3 4^n (a^a b^b)^2."""
+    a, b = n // 2 - lam, n // 2 + lam
+    return _min_pow((2 * lam + 1) ** 2 * n ** (2 * n), n**3 * 4**n * (a**a * b**b) ** 2, 2)
 
 
 def dimension_bounds(n: int, lam: int = 0) -> DimensionBounds:

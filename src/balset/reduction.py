@@ -15,14 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import (
-    CapExceededError,
-    LinearCode,
-    Word,
-    bulk_syndromes,
-    parity_limb_tables,
-    weight_words_chunks,
-)
+from .gf2 import CapExceededError, LinearCode, Word
+from .balancing import BalanceSpec, coset_counts
 
 __all__ = [
     "ReductionReport",
@@ -262,8 +256,10 @@ def every_coset_has_balanced_word(
     """Does every coset of the kernel of hprime contain a word of weight
     8m - t?  Returns (answer, counterexample syndrome or None).
 
-    bucket: enumerate all weight-(8m-t) words of length 16m-2t once, bucket
-    their check vectors, and look for an empty bucket among all 2^(8m+t).
+    bucket: count the weight-(8m-t) words of length 16m-2t in every bucket
+    of check vectors, all 2^(8m+t) of them, and report the smallest empty
+    one.  8m - t is half the length, so this is coset_counts at lam = 0
+    with the rows of hprime, one transform of length 2^(8m+t).
     structural: a word (zL, zR) has checks (zR, H zL), so the coset of
     (s_top, s_bot) has a weight-(8m-t) word iff s_bot is a XOR of exactly
     8m - t - weight(s_top) distinct columns of H; a single reachability
@@ -280,11 +276,8 @@ def every_coset_has_balanced_word(
                 f"bucket method capped at 8m+t <= {BUCKET_SYNDROME_CAP}, "
                 f"16m-2t <= {BUCKET_LENGTH_CAP}"
             )
-        tables = parity_limb_tables((r.bits for r in hprime.rows), hprime.n)
-        covered = np.zeros(1 << (8 * m + t), dtype=bool)
-        for chunk in weight_words_chunks(hprime.n, target):
-            covered[bulk_syndromes(tables, chunk)] = True
-        missing = np.flatnonzero(~covered)
+        counts = coset_counts(BalanceSpec(hprime.n), [r.bits for r in hprime.rows])
+        missing = np.flatnonzero(counts == 0)
         if missing.size == 0:
             return True, None
         return False, int(missing[0])

@@ -15,6 +15,7 @@ from balset.balancing import (
     Q_METHODS,
     binomial_exact,
     bounds_check,
+    coset_counts,
     coverage_profile,
     fwht_inplace,
     is_balancing_set,
@@ -24,7 +25,7 @@ from balset.balancing import (
     thick_sphere_words,
     uncovered_mask,
 )
-from balset.gf2 import LinearCode, Word, enumerate_span
+from balset.gf2 import LinearCode, Word, enumerate_span, span_array, syndrome_bits
 
 
 def brute_uncovered(code: LinearCode, spec: BalanceSpec) -> int:
@@ -125,6 +126,17 @@ def test_fwht_xor_convolution() -> None:
         assert conv[z] == int((mask * mask[idx ^ z]).sum())
 
 
+def test_fwht_blocked_levels_match_halves() -> None:
+    # past the in-cache block, the top level combines two transformed halves
+    size = 1 << 19
+    a = np.random.default_rng(3).integers(-1000, 1000, size=size).astype(np.int32)
+    lo, hi = a[: size // 2].copy(), a[size // 2 :].copy()
+    fwht_inplace(lo)
+    fwht_inplace(hi)
+    fwht_inplace(a)
+    assert np.array_equal(a, np.concatenate([lo + hi, lo - hi]))
+
+
 def test_thick_sphere_words_cached_readonly() -> None:
     words = thick_sphere_words(8, 1)
     assert len(words) == math.comb(8, 3) + math.comb(8, 4) + math.comb(8, 5)
@@ -189,6 +201,16 @@ def test_method_caps() -> None:
         q_exact(big, BalanceSpec(40), method="nonsense")
     with pytest.raises(ValueError):
         q_exact(LinearCode(6, ()), BalanceSpec(8))
+    # 40 rows leave r = 24 check rows, under the row cap, but n = 64 is
+    # past the length cap
+    rng = np.random.default_rng(64)
+    rows = [int(v) for v in rng.integers(0, 1 << 63, size=40, dtype=np.uint64)]
+    long_code = LinearCode.from_ints(64, rows)
+    assert long_code.n - long_code.k <= 26
+    with pytest.raises(CapExceededError, match="n <= 62"):
+        q_exact(long_code, BalanceSpec(64))
+    with pytest.raises(CapExceededError, match="r <= 26"):
+        coset_counts(BalanceSpec(28), [1] * 27)
 
 
 def test_report_fields_and_json() -> None:
@@ -197,6 +219,76 @@ def test_report_fields_and_json() -> None:
     assert d["n"] == 4 and d["k"] == 0 and d["lambda"] == 0
     assert d["q_num"] == 5 and d["q_den"] == 8
     assert d["uncovered"] == 10 and d["method"] == rep.method
+
+
+# -- the coset engine -----------------------------------------------------------
+
+def seeded_code(n: int, k: int, seed: int) -> LinearCode:
+    """A random code of dimension exactly k."""
+    rng = np.random.default_rng(seed)
+    code = LinearCode(n, ())
+    while code.k < k:
+        x = Word(n, int(rng.integers(0, 1 << n)))
+        if not code.contains(x):
+            code = code.extended(x)
+    return code
+
+
+def test_wht_matches_naive_every_shape() -> None:
+    for n in range(2, 15, 2):
+        for k in range(n + 1):
+            code = seeded_code(n, k, 100 * n + k)
+            for lam in range(n // 2):
+                spec = BalanceSpec(n, lam)
+                want = q_exact(code, spec, "naive").uncovered_count
+                assert q_exact(code, spec, "wht").uncovered_count == want, (n, k, lam)
+
+
+def test_wht_matches_syndrome_on_long_codes() -> None:
+    for n, k, lam in [(20, 4, 0), (20, 6, 1), (20, 8, 2), (22, 5, 0), (22, 7, 1), (24, 7, 0)]:
+        code = seeded_code(n, k, n + k)
+        spec = BalanceSpec(n, lam)
+        want = q_exact(code, spec, "syndrome").uncovered_count
+        assert q_exact(code, spec).uncovered_count == want, (n, k, lam)
+
+
+def test_coset_counts_dependent_rows() -> None:
+    # a duplicated row and a row sum add check bits fixed by the others:
+    # each syndrome keeps its count, and the unreachable ones count zero
+    code = seeded_code(12, 4, 5)
+    spec = BalanceSpec(12, 1)
+    h = [w.bits for w in code.dual_basis()]
+    r = len(h)
+    base = coset_counts(spec, h)
+    wide = coset_counts(spec, h + [h[0], h[0] ^ h[1]])
+    s = np.arange(1 << r)
+    extra = (s & 1) | ((s ^ (s >> 1)) & 1) << 1
+    assert np.array_equal(wide[s | extra << r], base)
+    assert wide.sum() == base.sum()
+
+
+def test_coset_counts_each_word_counted_once() -> None:
+    # sum over all syndromes of N_s is the band size, here at n = 40
+    code = seeded_code(40, 20, 40)
+    spec = BalanceSpec(40, 1)
+    counts = coset_counts(spec, [w.bits for w in code.dual_basis()])
+    lo, hi = spec.band
+    assert counts.sum() == sum(math.comb(40, w) for w in range(lo, hi + 1))
+    rep = q_exact(code, spec)
+    assert rep.method == "wht"
+    assert rep.uncovered_count == int((counts == 0).sum()) << 20
+
+
+def test_coset_counts_match_syndrome_buckets() -> None:
+    code = seeded_code(10, 3, 9)
+    spec = BalanceSpec(10, 1)
+    counts = coset_counts(spec, [w.bits for w in code.dual_basis()])
+    lo, hi = spec.band
+    want = np.zeros(counts.size, dtype=np.int64)
+    for z in range(1 << 10):
+        if lo <= z.bit_count() <= hi:
+            want[syndrome_bits(code, z)] += 1
+    assert np.array_equal(counts, want)
 
 
 # -- masks and profiles --------------------------------------------------------
@@ -212,6 +304,18 @@ def test_uncovered_mask_matches_count() -> None:
     for y in range(64):
         covered = any(lo <= (y ^ c).bit_count() <= hi for c in span)
         assert bool(mask[y]) == (not covered)
+
+
+def test_coverage_profile_matches_per_word_histogram() -> None:
+    for i, (n, k) in enumerate([(4, 0), (6, 2), (8, 3), (10, 1), (10, 5), (12, 4), (12, 6)]):
+        code = seeded_code(n, k, 7 + i)
+        words = np.arange(1 << n, dtype=np.uint64)
+        dist = np.bitwise_count(words[:, None] ^ span_array(code)[None, :])
+        for lam in range(n // 2):
+            lo, hi = BalanceSpec(n, lam).band
+            per_word = ((dist >= lo) & (dist <= hi)).sum(axis=1)
+            hist = coverage_profile(code, BalanceSpec(n, lam)).histogram
+            assert hist == tuple(int(c) for c in np.bincount(per_word)), (n, k, lam)
 
 
 def test_coverage_profile_double_counting() -> None:

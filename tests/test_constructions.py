@@ -266,6 +266,53 @@ def test_dimension_bounds_lambda_behavior() -> None:
     assert dimension_bounds(16, 4).thm5_upper == 6
 
 
+# thm5_upper for lam = 1, 2, ..., n/2 - 1 on the line of each even n <= 64,
+# as the interval-arithmetic (mpmath) evaluation of the entropy formula
+# gave them
+THM5_UPPER = """
+4: 3
+6: 3 4
+8: 4 4 6
+10: 4 4 5 8
+12: 5 5 5 7 9
+14: 5 5 5 7 8 11
+16: 5 5 5 6 8 10 13
+18: 5 5 5 6 8 9 12 15
+20: 6 5 5 6 7 9 11 14 17
+22: 6 5 6 6 7 8 10 12 15 19
+24: 6 6 6 6 7 8 10 12 14 17 21
+26: 6 6 6 6 7 8 9 11 13 16 19 23
+28: 6 6 6 6 7 8 9 11 13 15 17 21 25
+30: 6 6 6 6 7 8 9 10 12 14 16 19 23 27
+32: 7 6 6 6 7 8 9 10 11 13 15 18 21 24 29
+34: 7 6 6 6 7 8 9 10 11 13 15 17 20 23 26 31
+36: 7 6 6 6 7 7 8 9 11 12 14 16 19 21 24 28 33
+38: 7 6 6 6 7 7 8 9 11 12 14 16 18 20 23 26 30 34
+40: 7 6 6 6 7 7 8 9 10 12 13 15 17 19 22 25 28 32 36
+42: 7 7 6 7 7 7 8 9 10 11 13 14 16 18 21 23 26 30 34 38
+44: 7 7 6 7 7 7 8 9 10 11 12 14 16 18 20 22 25 28 32 36 40
+46: 7 7 7 7 7 7 8 9 10 11 12 14 15 17 19 21 24 27 30 33 37 42
+48: 7 7 7 7 7 7 8 9 10 11 12 13 15 17 19 21 23 26 28 32 35 39 44
+50: 7 7 7 7 7 7 8 9 9 11 12 13 14 16 18 20 22 25 27 30 33 37 41 46
+52: 8 7 7 7 7 7 8 9 9 10 11 13 14 16 17 19 21 24 26 29 32 35 39 43 48
+54: 8 7 7 7 7 7 8 9 9 10 11 12 14 15 17 19 21 23 25 28 31 34 37 41 45 50
+56: 8 7 7 7 7 7 8 8 9 10 11 12 14 15 16 18 20 22 24 27 29 32 35 39 43 47 52
+58: 8 7 7 7 7 7 8 8 9 10 11 12 13 15 16 18 19 21 24 26 28 31 34 37 41 45 49 54
+60: 8 7 7 7 7 7 8 8 9 10 11 12 13 14 16 17 19 21 23 25 27 30 33 36 39 42 46 51 56
+62: 8 7 7 7 7 7 8 8 9 10 11 12 13 14 15 17 19 20 22 24 26 29 31 34 37 41 44 48 53 58
+64: 8 7 7 7 7 7 8 8 9 10 11 12 13 14 15 17 18 20 22 24 26 28 30 33 36 39 42 46 50 55 60
+"""
+
+
+def test_thm5_upper_pinned() -> None:
+    lines = [line.split(":") for line in THM5_UPPER.strip().splitlines()]
+    table = {int(n): [int(v) for v in vals.split()] for n, vals in lines}
+    assert sorted(table) == list(range(4, 65, 2))
+    for n, values in table.items():
+        got = [dimension_bounds(n, lam).thm5_upper for lam in range(1, n // 2)]
+        assert got == values, n
+
+
 @given(st.integers(1, 1 << 14).map(lambda v: 2 * v))
 def test_dimension_bounds_ordering(n: int) -> None:
     b = dimension_bounds(n)

@@ -309,12 +309,23 @@ class TestEveryCoset:
         for s in missing:
             assert s >> 6 == 0
             assert bin(s & 0b111111).count("1") in (1, 5)
+        assert every_coset_has_balanced_word(hp, 1, 1, "bucket") == (False, min(missing))
 
     def test_methods_agree_on_matching_pair(self):
         g = graph(2, (1, 1, 1), (2, 2, 2))
         hp = build_Hprime(build_H(g), 2, 2)
         assert every_coset_has_balanced_word(hp, 2, 2, "structural") == (True, None)
         assert every_coset_has_balanced_word(hp, 2, 2, "bucket") == (True, None)
+
+    def test_bucket_agrees_with_structural_on_all_pairs(self):
+        for pair in itertools.combinations(ALL_EDGES_T2, 2):
+            g = graph(2, *pair)
+            hp = build_Hprime(build_H(g), 2, 2)
+            ok, counter = every_coset_has_balanced_word(hp, 2, 2, "bucket")
+            assert ok == every_coset_has_balanced_word(hp, 2, 2, "structural")[0]
+            assert ok == (counter is None), pair
+            if not ok:
+                assert uncovered_by_independent_search(g, counter), pair
 
     def test_counterexample_when_no_matching(self):
         g = graph(2, (1, 1, 1), (1, 2, 2))
