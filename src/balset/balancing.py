@@ -36,6 +36,7 @@ from .gf2 import (
     syndrome_tables,
     weight_words,
     weight_words_chunks,
+    xor_span,
 )
 
 __all__ = [
@@ -51,6 +52,7 @@ __all__ = [
     "is_balancing_set",
     "pair_distance_count",
     "q_exact",
+    "shift_overlaps",
     "sphere_intersection_size",
     "thick_sphere_words",
     "uncovered_mask",
@@ -284,18 +286,10 @@ def _band_spectrum(n: int, lam: int) -> np.ndarray:
     return out
 
 
-def _xor_span(values: list[int]) -> np.ndarray:
-    """XOR of every subset of values, indexed by the subset's bit mask."""
-    out = np.zeros(1, dtype=np.uint64)
-    for v in values:
-        out = np.concatenate([out, out ^ np.uint64(v)])
-    return out
-
-
 def _split_span(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(low, high) with _xor_span(values) = [low ^ u for u in high], low
+    """(low, high) with xor_span(values) = [low ^ u for u in high], low
     spanning at most the first 16 values, so it can be built block by block."""
-    return _xor_span(values[:16]), _xor_span(values[16:])
+    return xor_span(values[:16]), xor_span(values[16:])
 
 
 def coset_counts(spec: BalanceSpec, rows: list[int]) -> np.ndarray:
@@ -389,7 +383,11 @@ def is_balancing_set(code: LinearCode, spec: BalanceSpec, method: str = "auto") 
 
 def uncovered_mask(code: LinearCode, spec: BalanceSpec) -> np.ndarray:
     """Boolean mask over all 2^n words, True where no codeword covers: the
-    empty cosets of coset_counts, read at each word's syndrome."""
+    empty cosets of coset_counts, read at each word's syndrome.
+
+    A thin word-level view kept for the tests; greedy and Lemma 1 work on
+    the 2^(n-k) empty-coset array directly.
+    """
     _validate(code, spec)
     n = spec.n
     if n > BITMAP_N_CAP:
@@ -400,6 +398,35 @@ def uncovered_mask(code: LinearCode, spec: BalanceSpec) -> np.ndarray:
     cols = [sum((h >> c & 1) << j for j, h in enumerate(duals)) for c in range(n)]
     low, high = _split_span(cols)
     return np.concatenate([empty[low ^ u] for u in high])
+
+
+def shift_overlaps(mask: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """|M . (M + s)| for every s in shifts, M the indices where mask holds.
+
+    Counted directly on the mask packed into 64-bit words (its length a
+    power of two, 2^r): the high bits of s permute whole words, the low
+    min(r, 6) bits permute the bits inside each word.  All in-word
+    permutations are built once, by doubling, and the shifts run in blocks
+    of about 2^20 words.
+    """
+    low = min(mask.size.bit_length() - 1, 6)
+    words = np.packbits(mask, bitorder="little")
+    words = np.pad(words, (0, -words.size % 8)).view("<u8")
+    perm = words[None, :]  # perm[l] holds the words of M + l
+    for t in range(low):
+        d = 1 << t
+        keep = np.uint64(((1 << 64) - 1) // ((1 << 2 * d) - 1) * ((1 << d) - 1))
+        d = np.uint64(d)
+        perm = np.concatenate([perm, ((perm & keep) << d) | ((perm >> d) & keep)])
+    shifts = np.asarray(shifts, dtype=np.int64)
+    col = np.arange(words.size)
+    out = np.empty(shifts.size, dtype=np.int64)
+    block = max(1, (1 << 20) // words.size)
+    for lo in range(0, shifts.size, block):
+        s = shifts[lo : lo + block, None]
+        moved = perm[s & ((1 << low) - 1), col ^ (s >> low)]
+        out[lo : lo + block] = np.bitwise_count(moved & words).sum(axis=1)
+    return out
 
 
 def coverage_profile(code: LinearCode, spec: BalanceSpec) -> CoverageProfile:

@@ -5,6 +5,11 @@ codes and their odd cosets, s-fold repeated simplex codes, a greedy builder
 that grows a subspace by halving the uncovered fraction (squaring Q at every
 step), bit-exact fixture matrices for n = 8..32, and the four dimension
 bounds (two lower, two upper) evaluated in exact integer arithmetic.
+
+The greedy builder works in syndrome space: it keeps the 2^(n-k) array of
+empty cosets, indexed by a packed syndrome whose order is the order of the
+coset minima, so scoring every shift costs one transform of length 2^(n-k)
+and the smallest best generator is still the one chosen.
 """
 
 from __future__ import annotations
@@ -17,7 +22,13 @@ from fractions import Fraction
 import numpy as np
 
 from .gf2 import CapExceededError, LinearCode, Word, enumerate_span, span_array
-from .balancing import BalanceSpec, fwht_inplace, thick_sphere_words
+from .balancing import (
+    BalanceSpec,
+    coset_counts,
+    fwht_inplace,
+    pair_distance_count,
+    shift_overlaps,
+)
 
 __all__ = [
     "DimensionBounds",
@@ -167,33 +178,63 @@ class GreedyResult:
         return self.trace[-1].q
 
 
-def _autocorrelation_argmin(mask: np.ndarray, n: int) -> tuple[int, int]:
-    """Best generator over all 2^n candidates x, scored by how many
-    uncovered words stay uncovered after adding x: |U . (U + x)| is the XOR
-    autocorrelation of the uncovered indicator, one transform pair for all
-    candidates at once.  Ties break to the smallest x."""
-    v = mask.astype(np.int64)
+def _weight_scores(spec: BalanceSpec) -> np.ndarray:
+    """|U . (U + x)| for the zero code, by the weight d of x.
+
+    U is the complement of the band B, so the count is
+    2^n - 2|B| + |B . (B + x)|, and |B . (B + x)| counts the words at band
+    distance from both 0 and x, a function of d alone.
+    """
+    n = spec.n
+    band = range(spec.band[0], spec.band[1] + 1)
+    missed = (1 << n) - 2 * sum(math.comb(n, w) for w in band)
+    return np.array(
+        [
+            missed + sum(pair_distance_count(n, d, i, j) for i in band for j in band)
+            for d in range(n + 1)
+        ],
+        dtype=np.int64,
+    )
+
+
+def _autocorrelation(empty: np.ndarray) -> np.ndarray:
+    """A[s] = |S . (S + s)| for every syndrome s, S the empty cosets: the
+    XOR autocorrelation, one transform pair for all shifts at once."""
+    r = empty.size.bit_length() - 1
+    v = empty.astype(np.int32)  # |transform| <= 2^r: int32 under GREEDY_N_CAP
     fwht_inplace(v)
-    v *= v
+    v = np.multiply(v, v, dtype=np.int64)
     fwht_inplace(v)
     if __debug__:
-        assert not (v & ((1 << n) - 1)).any(), "autocorrelation not divisible"
-    v >>= n
-    best = int(np.argmin(v))
-    return best, int(v[best])
+        assert not (v & ((1 << r) - 1)).any(), "autocorrelation not divisible"
+    v >>= r
+    return v
 
 
-def _sampled_candidate(
-    mask: np.ndarray,
-    uncovered: np.ndarray,
-    cand: np.ndarray,
-) -> tuple[int, int]:
-    best_x, best_count = -1, -1
-    for x in cand:
-        count = int(np.count_nonzero(mask[uncovered ^ x]))
-        if best_x < 0 or (count, int(x)) < (best_count, best_x):
-            best_x, best_count = int(x), count
-    return best_x, best_count
+def _syndrome_checks(n: int, basis: list[int]) -> list[int]:
+    """Check rows of the packed syndrome, one per free (non-pivot)
+    coordinate f, ascending: f plus the pivot of every basis row that
+    carries f, so its parity with y is bit f of y's coset minimum.  Those
+    pivots all lie above f, so h & -h is the free coordinate of check h."""
+    pivots = [b.bit_length() - 1 for b in basis]
+    taken = sum(1 << p for p in pivots)
+    return [
+        (1 << f) | sum(1 << p for p, b in zip(pivots, basis) if b >> f & 1)
+        for f in range(n)
+        if not taken >> f & 1
+    ]
+
+
+def _adjoin(basis: list[int], x: int) -> tuple[list[int], int]:
+    """Add x, outside the span, to a fully reduced basis whose pivots are
+    the rows' top bits.  Returns the new basis and x's coset minimum (x with
+    every pivot cleared), which becomes its row; the old rows are reduced by
+    it, which keeps their pivots since its top bit lies below them."""
+    for b in basis:
+        if x >> b.bit_length() - 1 & 1:
+            x ^= b
+    top = x.bit_length() - 1
+    return [b ^ x if b >> top & 1 else b for b in basis] + [x], x
 
 
 def greedy_balancing(
@@ -210,10 +251,24 @@ def greedy_balancing(
     Each accepted generator x satisfies the squaring condition
     uncovered(C + Fx) * 2^n <= uncovered(C)^2; averaging over all x shows a
     witness always exists, so full_scan mode (exact minimum over all 2^n
-    candidates) cannot stall.  sampled mode scores `batch` random nonzero
-    candidates per attempt, accepts the best if it satisfies the squaring
-    condition, and falls back to a full scan after 3 failed batches.
-    Terminates with status "balanced" at Q = 0, or "max_dim_reached".
+    candidates, ties to the smallest x) cannot stall.  sampled mode scores
+    `batch` random nonzero candidates per attempt, accepts the best (ties to
+    the smallest candidate) if it satisfies the squaring condition, and
+    falls back to a full scan after 3 failed batches.  Terminates with
+    status "balanced" at Q = 0, or "max_dim_reached".
+
+    The work runs in syndrome space.  C's basis is kept fully reduced with
+    each row's pivot at its highest bit, so the coset minimum of y is the
+    representative with zeros at every pivot; the syndrome packs its free
+    bits in ascending order, which keeps the order of coset minima.  With S
+    the set of empty (uncovered) cosets, |U . (U + x)| = 2^k |S . (S + s)|
+    for the syndrome s of x, so a full scan is one 2^(n-k) autocorrelation
+    whose argmin spreads back to the smallest best x (every x shares its
+    score with its coset minimum, which is no larger), and a sample is
+    scored by counting S . (S + s) directly for each candidate.  At k = 0
+    the score depends on the weight of x alone and comes in closed form.
+    After a step S keeps the cosets that stay empty, folded onto the
+    2^(n-k-1) syndromes of the larger code.
     """
     if spec is None:
         spec = BalanceSpec(n)
@@ -225,39 +280,61 @@ def greedy_balancing(
         raise CapExceededError(f"greedy builder capped at n <= {GREEDY_N_CAP}")
     if batch is None:
         batch = 4 * n
+    if mode == "sampled" and batch < 1:
+        raise ValueError(f"sampled mode needs batch >= 1, got {batch}")
     if max_dim is None:
         max_dim = n
 
     size = 1 << n
-    mask = np.ones(size, dtype=bool)
-    mask[thick_sphere_words(n, spec.lam)] = False
-    uncovered = np.flatnonzero(mask).astype(np.uint64)
-    unc = uncovered.size
+    by_weight = _weight_scores(spec)
+    unc = int(by_weight[0])
     rows: list[Word] = []
+    basis: list[int] = []  # fully reduced, each pivot the row's top bit
+    empty = np.zeros(0, dtype=bool)  # S, indexed by packed syndrome
     trace = [GreedyStep(0, 0, unc, Fraction(unc, size))]
 
     while unc and len(rows) < max_dim:
         step = len(rows) + 1
-        if mode == "full_scan":
-            x, new_unc = _autocorrelation_argmin(mask, n)
-        else:
-            x = -1
-            for attempt in range(3):
-                rng = np.random.Generator(
-                    np.random.Philox(key=[rng_seed, step * 4 + attempt])
-                )
-                cand = rng.integers(1, size, size=batch, dtype=np.uint64)
-                cx, c_unc = _sampled_candidate(mask, uncovered, cand)
-                if c_unc * size <= unc * unc:
-                    x, new_unc = cx, c_unc
-                    break
+        k = len(basis)
+        checks = _syndrome_checks(n, basis)
+        x = -1
+        for attempt in range(3 if mode == "sampled" else 0):
+            rng = np.random.Generator(
+                np.random.Philox(key=[rng_seed, step * 4 + attempt])
+            )
+            cand = rng.integers(1, size, size=batch, dtype=np.uint64)
+            if k == 0:
+                counts = by_weight[np.bitwise_count(cand)]
             else:
-                x, new_unc = _autocorrelation_argmin(mask, n)
+                syn = sum(
+                    (np.bitwise_count(cand & np.uint64(h)).astype(np.int64) & 1) << j
+                    for j, h in enumerate(checks)
+                )
+                counts = shift_overlaps(empty, syn) << k
+            best = np.lexsort((cand, counts))[0]
+            if int(counts[best]) * size <= unc * unc:
+                x, new_unc = int(cand[best]), int(counts[best])
+                break
+        if x < 0 and k == 0:
+            d = int(np.argmin(by_weight))
+            x, new_unc = (1 << d) - 1, int(by_weight[d])
+        elif x < 0:
+            a = _autocorrelation(empty)
+            s = int(np.argmin(a))
+            x = sum(h & -h for j, h in enumerate(checks) if s >> j & 1)
+            new_unc = int(a[s]) << k
         assert new_unc * size <= unc * unc, "squaring condition violated"
-        keep = mask[uncovered ^ np.uint64(x)]
-        mask[uncovered[~keep]] = False
-        uncovered = uncovered[keep]
-        unc = uncovered.size
+
+        basis, rep = _adjoin(basis, x)
+        if k == 0:
+            empty = coset_counts(spec, _syndrome_checks(n, basis)) == 0
+        else:
+            s = sum(1 << j for j, h in enumerate(checks) if rep & h & -h)
+            empty &= empty[np.arange(empty.size) ^ s]
+            # keep the cosets whose minimum has rep's top bit clear
+            p = s.bit_length() - 1
+            empty = empty.reshape(-1, 2, 1 << p)[:, 0, :].ravel()
+        unc = int(np.count_nonzero(empty)) << len(basis)
         assert unc == new_unc
         rows.append(Word(n, x))
         trace.append(GreedyStep(step, len(rows), unc, Fraction(unc, size)))

@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf2 import LinearCode, Word
-from .balancing import BalanceSpec, q_exact, uncovered_mask
+from .gf2 import CapExceededError, LinearCode, Word
+from .balancing import BalanceSpec, coset_counts, q_exact, shift_overlaps
 
 __all__ = [
     "ConcentrationReport",
@@ -156,31 +156,27 @@ def lemma1_identity_check(
 ) -> tuple[Fraction, Fraction, bool]:
     """Exact check of mean_x Q(C + Fx) = Q(C)^2 over all 2^n shifts x.
 
-    Q(C + Fx) only depends on the coset x + C (adjoining x or x + c spans
-    the same subspace), so one representative per coset is evaluated and
-    weighted by |C|.  Each evaluation uses uncovered(C + Fx) =
-    |U . (U + x)| with U the uncovered set of C, summed honestly rather
-    than through the identity under test.
+    Runs in syndrome space: with S the empty cosets of C (those holding no
+    band word), the uncovered words of C + Fx number
+    |U . (U + x)| = 2^k |S . (S + s)|, s the syndrome of x, and each of the
+    2^(n-k) syndromes is the syndrome of 2^k shifts.  shift_overlaps counts
+    each overlap directly, not through the identity under test, so the
+    left side is sum_s |S . (S + s)| * 4^k / 4^n.
     """
     n = spec.n
     if code.n != n:
         raise ValueError(f"code length {code.n} != spec length {spec.n}")
     if n > LEMMA1_N_CAP:
-        raise ValueError(f"shift sum capped at n <= {LEMMA1_N_CAP}")
-    mask = uncovered_mask(code, spec)
-    unc = int(np.count_nonzero(mask))
+        raise CapExceededError(
+            f"lemma1 shift sum capped at n <= {LEMMA1_N_CAP} (LEMMA1_N_CAP), got n = {n}"
+        )
+    empty = coset_counts(spec, [h.bits for h in code.dual_basis()]) == 0
+    unc = int(np.count_nonzero(empty)) << code.k
     rhs = Fraction(unc, 1 << n) ** 2
     if unc == 0:
         return Fraction(0), rhs, rhs == 0
-
-    u_idx = np.flatnonzero(mask).astype(np.uint64)
-    pivots = set(code.pivots)
-    free = [c for c in range(n) if c not in pivots]
-    total = 0
-    for sub in range(1 << len(free)):
-        r = sum(1 << c for j, c in enumerate(free) if sub >> j & 1)
-        total += int(np.count_nonzero(mask[u_idx ^ np.uint64(r)]))
-    lhs = Fraction(total << code.k, 1 << (2 * n))
+    total = int(shift_overlaps(empty, np.arange(empty.size)).sum())
+    lhs = Fraction(total << (2 * code.k), 1 << (2 * n))
     return lhs, rhs, lhs == rhs
 
 

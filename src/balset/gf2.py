@@ -35,6 +35,7 @@ __all__ = [
     "weight",
     "weight_words",
     "weight_words_chunks",
+    "xor_span",
 ]
 
 # enumerate_span / span_array refuse codes with more basis rows than this
@@ -238,15 +239,21 @@ def enumerate_span(code: LinearCode, cap: int = SPAN_CAP) -> Iterator[Word]:
         yield Word(code.n, acc)
 
 
+def xor_span(values: list[int], dtype: type = np.uint64) -> np.ndarray:
+    """XOR of every subset of values, indexed by the subset's bit mask;
+    every value must fit the unsigned dtype."""
+    out = np.zeros(1, dtype=dtype)
+    for v in values:
+        out = np.concatenate([out, out ^ dtype(v)])
+    return out
+
+
 def span_array(code: LinearCode, cap: int = SPAN_CAP) -> np.ndarray:
     """All 2^k codewords as a uint64 array (binary-counter order)."""
     basis = code.basis
     if len(basis) > cap:
         raise CapExceededError(f"span of dimension {len(basis)} exceeds cap {cap}")
-    out = np.zeros(1, dtype=np.uint64)
-    for b in basis:
-        out = np.concatenate([out, out ^ np.uint64(b.bits)])
-    return out
+    return xor_span([b.bits for b in basis])
 
 
 def syndrome_bits(code: LinearCode, bits: int) -> int:
@@ -271,15 +278,10 @@ def parity_limb_tables(rows: Iterable[int], n: int) -> list[np.ndarray]:
     col_syn = [
         sum(((h >> c) & 1) << j for j, h in enumerate(rows)) for c in range(n)
     ]
-    tables = []
-    for limb in range((n + 15) // 16):
-        width = min(16, n - 16 * limb)
-        t = np.zeros(1 << width, dtype=np.uint32)
-        for v in range(1, 1 << width):
-            low = (v & -v).bit_length() - 1
-            t[v] = t[v & (v - 1)] ^ col_syn[16 * limb + low]
-        tables.append(t)
-    return tables
+    return [
+        xor_span(col_syn[limb : limb + 16], np.uint32)
+        for limb in range(0, n, 16)
+    ]
 
 
 def syndrome_tables(code: LinearCode) -> tuple[list[np.ndarray], int]:

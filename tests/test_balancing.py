@@ -21,6 +21,7 @@ from balset.balancing import (
     is_balancing_set,
     pair_distance_count,
     q_exact,
+    shift_overlaps,
     sphere_intersection_size,
     thick_sphere_words,
     uncovered_mask,
@@ -304,6 +305,24 @@ def test_uncovered_mask_matches_count() -> None:
     for y in range(64):
         covered = any(lo <= (y ^ c).bit_count() <= hi for c in span)
         assert bool(mask[y]) == (not covered)
+
+
+def test_shift_overlaps_match_direct_count() -> None:
+    # packed words and in-word permutations, r = 0..12 (below, at and above
+    # one 64-bit word), against M's indices looked up shift by shift
+    rng = np.random.default_rng(8)
+    for r in range(13):
+        for density in (0.0, 0.2, 0.7, 1.0):
+            mask = rng.random(1 << r) < density
+            idx = np.flatnonzero(mask)
+            shifts = np.arange(1 << r)
+            want = [int(np.count_nonzero(mask[idx ^ s])) for s in shifts]
+            assert shift_overlaps(mask, shifts).tolist() == want, (r, density)
+    mask = rng.random(1 << 16) < 0.5
+    shifts = rng.integers(0, 1 << 16, size=100)
+    idx = np.flatnonzero(mask)
+    want = [int(np.count_nonzero(mask[idx ^ s])) for s in shifts]
+    assert shift_overlaps(mask, shifts).tolist() == want
 
 
 def test_coverage_profile_matches_per_word_histogram() -> None:

@@ -8,9 +8,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from balset.balancing import BalanceSpec, is_balancing_set, q_exact
+from balset.balancing import (
+    BalanceSpec,
+    fwht_inplace,
+    is_balancing_set,
+    q_exact,
+    thick_sphere_words,
+)
 from balset.constructions import (
     CapExceededError,
+    GreedyStep,
+    _adjoin,
+    _syndrome_checks,
     DimensionBounds,
     binary_entropy,
     dimension_bounds,
@@ -186,6 +195,127 @@ def test_greedy_validation() -> None:
         greedy_balancing(8, mode="eager")
     with pytest.raises(CapExceededError):
         greedy_balancing(26)
+    with pytest.raises(ValueError):
+        greedy_balancing(8, mode="sampled", batch=0)
+
+
+# the greedy builder as it ran over all 2^n words: the uncovered mask, an
+# autocorrelation argmin over every candidate, a Python loop over a sample
+
+def _word_autocorrelation_argmin(mask: np.ndarray, n: int) -> tuple[int, int]:
+    v = mask.astype(np.int64)
+    fwht_inplace(v)
+    v *= v
+    fwht_inplace(v)
+    assert not (v & ((1 << n) - 1)).any()
+    v >>= n
+    best = int(np.argmin(v))
+    return best, int(v[best])
+
+
+def _word_greedy(n, lam, mode, seed, max_dim):
+    batch, size = 4 * n, 1 << n
+    max_dim = n if max_dim is None else max_dim
+    mask = np.ones(size, dtype=bool)
+    mask[thick_sphere_words(n, lam)] = False
+    uncovered = np.flatnonzero(mask).astype(np.uint64)
+    unc = uncovered.size
+    rows = []
+    trace = [GreedyStep(0, 0, unc, Fraction(unc, size))]
+    while unc and len(rows) < max_dim:
+        step = len(rows) + 1
+        x = -1
+        for attempt in range(3 if mode == "sampled" else 0):
+            rng = np.random.Generator(np.random.Philox(key=[seed, step * 4 + attempt]))
+            cand = rng.integers(1, size, size=batch, dtype=np.uint64)
+            best_x, best_count = -1, -1
+            for c in cand:
+                count = int(np.count_nonzero(mask[uncovered ^ c]))
+                if best_x < 0 or (count, int(c)) < (best_count, best_x):
+                    best_x, best_count = int(c), count
+            if best_count * size <= unc * unc:
+                x = best_x
+                break
+        if x < 0:
+            x, _ = _word_autocorrelation_argmin(mask, n)
+        keep = mask[uncovered ^ np.uint64(x)]
+        mask[uncovered[~keep]] = False
+        uncovered = uncovered[keep]
+        unc = uncovered.size
+        rows.append(x)
+        trace.append(GreedyStep(step, len(rows), unc, Fraction(unc, size)))
+    status = "balanced" if unc == 0 else "max_dim_reached"
+    return rows, tuple(trace), status
+
+
+@pytest.mark.parametrize("n", range(2, 15, 2))
+def test_greedy_matches_word_space_oracle(n: int) -> None:
+    for lam in range(min(3, n // 2)):
+        for mode in ("full_scan", "sampled"):
+            for seed in (0, 1, 5):
+                for max_dim in (None, 1, 2):
+                    res = greedy_balancing(
+                        n, BalanceSpec(n, lam), mode, rng_seed=seed, max_dim=max_dim
+                    )
+                    got = [w.bits for w in res.code.rows], res.trace, res.status
+                    assert got == _word_greedy(n, lam, mode, seed, max_dim), (
+                        lam, mode, seed, max_dim,
+                    )
+
+
+# rows and per-step uncovered counts the word-space builder gave at n = 20
+GREEDY_N20 = {
+    "full_scan": [1, 1022, 31774, 35942, 14],
+    "sampled": [12779, 83133, 157999, 115465, 20350],
+}
+GREEDY_N20_UNCOVERED = [863820, 679064, 436560, 162560, 21632, 0]
+
+
+@pytest.mark.parametrize("mode", sorted(GREEDY_N20))
+def test_greedy_n20_pinned(mode: str) -> None:
+    res = greedy_balancing(20, BalanceSpec(20), mode)
+    assert res.status == "balanced"
+    assert [w.bits for w in res.code.rows] == GREEDY_N20[mode]
+    assert [s.uncovered_count for s in res.trace] == GREEDY_N20_UNCOVERED
+
+
+def test_packed_syndrome_orders_like_coset_minimum() -> None:
+    rng = np.random.default_rng(23)
+    for n in range(1, 13):
+        for _ in range(3):
+            basis: list[int] = []
+            span = {0}
+            for x in rng.integers(1, 1 << n, size=int(rng.integers(0, n + 1))):
+                x = int(x)
+                if x in span:
+                    continue
+                basis, rep = _adjoin(basis, x)
+                assert rep == min(x ^ c for c in span)
+                span |= {c ^ x for c in span}
+            pivots = [b.bit_length() - 1 for b in basis]
+            # fully reduced: each pivot is set in its own row only
+            assert all((b >> p & 1) == (i == j)
+                       for i, b in enumerate(basis) for j, p in enumerate(pivots))
+            checks = _syndrome_checks(n, basis)
+            assert len(checks) == n - len(basis)
+
+            def syndrome(words: np.ndarray) -> np.ndarray:
+                return sum(
+                    (np.bitwise_count(words & np.uint64(h)).astype(np.int64) & 1) << j
+                    for j, h in enumerate(checks)
+                ) + np.zeros(words.size, dtype=np.int64)
+
+            words = np.arange(1 << n, dtype=np.uint64)
+            syn = syndrome(words)
+            for b in basis:
+                assert np.array_equal(syndrome(words ^ np.uint64(b)), syn)
+            values, first = np.unique(syn, return_index=True)
+            # one syndrome per coset, and the first word carrying each is its
+            # coset's minimum, so ascending syndromes give ascending minima
+            assert values.size == 1 << len(checks)
+            assert (np.diff(first) > 0).all()
+            spread = [sum(h & -h for j, h in enumerate(checks) if v >> j & 1) for v in values]
+            assert spread == first.tolist()
 
 
 # -- committed bases ------------------------------------------------------------------

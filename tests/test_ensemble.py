@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from balset import (
     BalanceSpec,
+    CapExceededError,
     ConcentrationReport,
     EnsembleConfig,
     LinearCode,
@@ -190,17 +191,17 @@ class TestLemma1Identity:
             assert lemma1_identity_check(code, BalanceSpec(8, 1))[2]
 
     def test_matches_naive_shift_average(self):
-        # oracle: average Q(C + Fx) over every shift x, no coset folding
-        n = 6
-        for t in range(2):
-            code = random_code(n, 2, seed=17, trial=t)
-            spec = BalanceSpec(n, 0)
-            total = Fraction(0)
-            for x in range(1 << n):
-                shifted = LinearCode(n, code.rows + (Word(n, x),))
-                total += q_exact(shifted, spec).q
-            lhs = lemma1_identity_check(code, spec)[0]
-            assert lhs == total / (1 << n)
+        # oracle: average Q(C + Fx) over every shift x by the naive word
+        # scan, no coset folding
+        for n, lam in ((6, 0), (8, 0), (8, 1), (10, 0), (10, 1)):
+            for t in range(2):
+                code = random_code(n, 2, seed=17, trial=t)
+                spec = BalanceSpec(n, lam)
+                total = Fraction(0)
+                for x in range(1 << n):
+                    total += q_exact(code.extended(Word(n, x)), spec, method="naive").q
+                lhs = lemma1_identity_check(code, spec)[0]
+                assert lhs == total / (1 << n), (n, lam, t)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -208,7 +209,7 @@ class TestLemma1Identity:
 
     def test_cap_enforced(self):
         n = LEMMA1_N_CAP + 2
-        with pytest.raises(ValueError):
+        with pytest.raises(CapExceededError, match="LEMMA1_N_CAP"):
             lemma1_identity_check(LinearCode(n, ()), BalanceSpec(n, 0))
 
 
