@@ -35,6 +35,7 @@ MATCHING_M_CAP = 20
 COLUMN_SEARCH_CAP = 28   # total columns of H for meet-in-the-middle
 BUCKET_SYNDROME_CAP = 18  # 8m + t
 BUCKET_LENGTH_CAP = 28    # 16m - 2t
+STRUCTURAL_BYTES_CAP = 1 << 28  # structural table bytes; about 23 MB at t=6, m=20
 
 
 @dataclass(frozen=True)
@@ -162,11 +163,22 @@ def find_matching(g: TripartiteHypergraph) -> tuple[int, ...] | None:
 
 
 def _columns(h: LinearCode) -> list[int]:
-    """Column vectors of the matrix as ints (bit j = row j's entry)."""
-    return [
-        sum((r.bits >> c & 1) << j for j, r in enumerate(h.rows))
-        for c in range(h.n)
-    ]
+    """Column vectors of the matrix as ints (bit j = row j's entry): the
+    rows' little-endian bytes unpacked to bits, then each column summed
+    with weights 2^j, 64 rows at a time."""
+    nbytes = (h.n + 7) // 8
+    raw = np.frombuffer(
+        b"".join(r.bits.to_bytes(nbytes, "little") for r in h.rows), np.uint8
+    )
+    bits = np.unpackbits(
+        raw.reshape(len(h.rows), nbytes), axis=1, count=h.n, bitorder="little"
+    ).astype(np.uint64)
+    cols = [0] * h.n
+    for lo in range(0, len(h.rows), 64):
+        chunk = bits[lo : lo + 64]
+        weights = np.left_shift(np.uint64(1), np.arange(len(chunk), dtype=np.uint64))
+        cols = [c | v << lo for c, v in zip(cols, (weights @ chunk).tolist())]
+    return cols
 
 
 def column_sum_reachable(
@@ -229,18 +241,33 @@ def _split_blocks(hprime: LinearCode, t: int, m: int) -> LinearCode:
     return LinearCode(8 * m, tuple(bottom))
 
 
-def _reachability_table(h: LinearCode) -> np.ndarray:
-    """dp[w, s] = can s be a XOR of exactly w distinct columns of h."""
-    width = len(h.rows)
-    cols = _columns(h)
-    dp = np.zeros((len(cols) + 1, 1 << width), dtype=bool)
-    dp[0, 0] = True
+def _reachability_masks(h: LinearCode, top: int) -> np.ndarray:
+    """masks[:, s] has bit w set (bit w % 64 of limb w // 64) iff s is a XOR
+    of exactly w distinct columns of h, for every count w <= top.
+
+    Adding a column col to the pool moves every syndrome's counts from s to
+    s ^ col, one up: one gather of all limbs, one shift up by one bit with
+    the carry between limbs, one OR.  Refuses with CapExceededError before
+    allocating anything when the working set exceeds STRUCTURAL_BYTES_CAP.
+    """
+    width, limbs = len(h.rows), top // 64 + 1
+    # masks, the gathered copy and its shift, the index and its XOR, per syndrome
+    estimate = (3 * limbs + 2) * 8 << width
+    if estimate > STRUCTURAL_BYTES_CAP:
+        raise CapExceededError(
+            f"structural method capped at {STRUCTURAL_BYTES_CAP} bytes "
+            f"(STRUCTURAL_BYTES_CAP); this table needs about {estimate}"
+        )
+    masks = np.zeros((limbs, 1 << width), dtype=np.uint64)
+    masks[0, 0] = 1
     idx = np.arange(1 << width)
-    for col in cols:
-        shuffled = idx ^ col
-        for w in range(len(cols) - 1, -1, -1):
-            dp[w + 1][shuffled] |= dp[w]
-    return dp
+    for col in _columns(h):
+        moved = masks[:, idx ^ col]
+        up = moved << 1
+        moved[:-1] >>= 63
+        up[1:] |= moved[:-1]
+        masks |= up
+    return masks
 
 
 def _resolve_method(n: int, t: int, m: int, method: str) -> str:
@@ -262,9 +289,16 @@ def every_coset_has_balanced_word(
     with the rows of hprime, one transform of length 2^(8m+t).
     structural: a word (zL, zR) has checks (zR, H zL), so the coset of
     (s_top, s_bot) has a weight-(8m-t) word iff s_bot is a XOR of exactly
-    8m - t - weight(s_top) distinct columns of H; a single reachability
-    table over the columns decides every syndrome at once.  Both methods
-    agree; bucket is capped at 8m + t <= 18 and 16m - 2t <= 28.
+    8m - t - weight(s_top) distinct columns of H.  One table decides every
+    syndrome at once: for each s_bot in 2^(3t), a bitmask whose bit w says
+    "s_bot is a XOR of exactly w distinct columns", built with one gather
+    and one shift per column (_reachability_masks).  The answer is no iff
+    some count w in [t, 8m - t] is missing from some mask; the
+    counterexample takes the smallest such w, then the smallest such s_bot,
+    with s_top = 2^(8m-t-w) - 1.  The table's working set is capped at
+    STRUCTURAL_BYTES_CAP bytes, checked before it is allocated.
+
+    Both methods agree; bucket is capped at 8m + t <= 18 and 16m - 2t <= 28.
     """
     h = _split_blocks(hprime, t, m)
     i8 = 8 * m - 2 * t
@@ -283,13 +317,15 @@ def every_coset_has_balanced_word(
         return False, int(missing[0])
     if method != "structural":
         raise ValueError(f"unknown method {method!r}")
-    dp = _reachability_table(h)
-    for w in range(t, target + 1):
-        bad = np.flatnonzero(~dp[w])
-        if bad.size:
-            s_top = (1 << (target - w)) - 1
-            return False, s_top | int(bad[0]) << i8
-    return True, None
+    masks = _reachability_masks(h, target)
+    limbs = np.bitwise_and.reduce(masks, axis=1).tolist()
+    everywhere = sum(v << 64 * i for i, v in enumerate(limbs))
+    missing = ~everywhere & ((1 << (target + 1)) - (1 << t))
+    if not missing:
+        return True, None
+    w = (missing & -missing).bit_length() - 1
+    s_bot = int(np.argmin(masks[w >> 6] >> (w & 63) & 1))
+    return False, (1 << (target - w)) - 1 | s_bot << i8
 
 
 @dataclass(frozen=True)

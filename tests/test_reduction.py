@@ -1,8 +1,10 @@
 """Tests for the matching-to-balancing reduction and its verifiers."""
 
 import itertools
+import time
 import warnings
 
+import numpy as np
 import pytest
 
 from balset import (
@@ -23,6 +25,8 @@ from balset.reduction import (
     MATCHING_M_CAP,
     MATCHING_T_CAP,
     TripartiteHypergraph,
+    _columns,
+    _reachability_masks,
 )
 
 ALL_EDGES_T2 = [(a, b, c) for a in (1, 2) for b in (1, 2) for c in (1, 2)]
@@ -44,6 +48,40 @@ def acc_xor(cols: list[int], combo) -> int:
     for j in combo:
         acc ^= cols[j]
     return acc
+
+
+def bool_reachability_table(h: LinearCode) -> np.ndarray:
+    """dp[w, s] = can s be a XOR of exactly w distinct columns of h: one
+    bool row per count, each column scattered into every row in turn."""
+    cols = columns(h)
+    dp = np.zeros((len(cols) + 1, 1 << len(h.rows)), dtype=bool)
+    dp[0, 0] = True
+    idx = np.arange(1 << len(h.rows))
+    for col in cols:
+        shuffled = idx ^ col
+        for w in range(len(cols) - 1, -1, -1):
+            dp[w + 1][shuffled] |= dp[w]
+    return dp
+
+
+def structural_from_bool_table(h: LinearCode, t: int, m: int):
+    """The coset-side verdict read row by row off the bool table."""
+    dp = bool_reachability_table(h)
+    target = 8 * m - t
+    for w in range(t, target + 1):
+        bad = np.flatnonzero(~dp[w])
+        if bad.size:
+            s_top = (1 << (target - w)) - 1
+            return False, s_top | int(bad[0]) << (8 * m - 2 * t)
+    return True, None
+
+
+def seeded_graph(rng, t: int, m: int, planted: bool) -> TripartiteHypergraph:
+    edges = [tuple(int(v) for v in rng.integers(1, t + 1, size=3)) for _ in range(m)]
+    if planted and m >= t:
+        p2, p3 = rng.permutation(t) + 1, rng.permutation(t) + 1
+        edges[:t] = [(v + 1, int(p2[v]), int(p3[v])) for v in range(t)]
+    return TripartiteHypergraph(t, tuple(edges))
 
 
 def matching_oracle(g: TripartiteHypergraph) -> bool:
@@ -213,6 +251,18 @@ class TestFindMatching:
             find_matching(graph(1, *edges))
 
 
+class TestColumns:
+    def test_matches_per_bit_loop(self):
+        rng = np.random.default_rng(11)
+        # up to 160 columns (m = 20) and past 64 rows (two weight chunks)
+        for n, k in [(0, 3), (5, 0), (8, 3), (24, 6), (72, 9), (160, 18), (30, 70)]:
+            for _ in range(3):
+                rows = [int.from_bytes(rng.bytes(n // 8 + 1), "little") % (1 << n)
+                        for _ in range(k)]
+                h = LinearCode.from_ints(n, rows)
+                assert _columns(h) == columns(h), (n, k)
+
+
 class TestColumnSumReachable:
     def test_all_ones_single_column(self):
         h = build_H(graph(1, (1, 1, 1)))
@@ -333,6 +383,48 @@ class TestEveryCoset:
         ok, counter = every_coset_has_balanced_word(hp, 2, 2, "structural")
         assert not ok
         assert uncovered_by_independent_search(g, counter)
+
+    def test_count_masks_match_bool_table(self):
+        rng = np.random.default_rng(2009)
+        for t in (1, 2, 3, 4):
+            for m in (1, 2, 5, 9, 10):  # 8m - t >= 64 needs two limbs
+                for planted in (True, False):
+                    g = seeded_graph(rng, t, m, planted)
+                    h = build_H(g)
+                    top = 8 * m - t
+                    masks = _reachability_masks(h, top)
+                    assert masks.shape == (top // 64 + 1, 1 << 3 * t)
+                    dp = bool_reachability_table(h)
+                    for w in range(top + 1):
+                        bits = masks[w >> 6] >> (w & 63) & 1
+                        assert np.array_equal(bits.astype(bool), dp[w]), (g, w)
+                    hp = build_Hprime(h, t, m)
+                    assert every_coset_has_balanced_word(
+                        hp, t, m, "structural"
+                    ) == structural_from_bool_table(h, t, m), g
+
+    def test_t2_census_matching_agrees_with_structural(self):
+        negatives = 0
+        for size in range(1, len(ALL_EDGES_T2) + 1):
+            for edges in itertools.combinations(ALL_EDGES_T2, size):
+                g = graph(2, *edges)
+                hp = build_Hprime(build_H(g), 2, g.m)
+                ok, counter = every_coset_has_balanced_word(hp, 2, g.m, "structural")
+                assert ok == (find_matching(g) is not None), edges
+                assert ok == (counter is None)
+                if not ok:
+                    negatives += 1
+                    if g.m <= 3:
+                        assert uncovered_by_independent_search(g, counter), edges
+        assert negatives == 80
+
+    def test_structural_work_cap_refuses_before_allocating(self):
+        g = graph(9, (1, 2, 3), (4, 5, 6), (7, 8, 9))
+        hp = build_Hprime(build_H(g), 9, 3)
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match="STRUCTURAL_BYTES_CAP"):
+            every_coset_has_balanced_word(hp, 9, 3, "structural")
+        assert time.perf_counter() - start < 1.0
 
     def test_auto_routes_by_caps(self):
         small = graph(1, (1, 1, 1))
