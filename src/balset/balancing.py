@@ -16,12 +16,20 @@ The count only depends on which cosets of C miss the band, so the engine
 Krawtchouk spectrum over the dual code gives the number of band words in
 every coset.  `naive`, `sphere_mark` and `syndrome` stay as independent
 oracles over words.
+
+Transforms longer than one FWHT_BLOCK split their work over a small thread
+pool (numpy releases the GIL in the array passes).  BALSET_THREADS is the
+library's one thread setting: unset or 0 means every core this process may
+run on, and no value starts more threads than that.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -51,10 +59,13 @@ __all__ = [
     "fwht_inplace",
     "is_balancing_set",
     "pair_distance_count",
+    "parse_threads",
     "q_exact",
+    "serial_transforms",
     "shift_overlaps",
     "sphere_intersection_size",
     "thick_sphere_words",
+    "thread_setting",
     "uncovered_mask",
 ]
 
@@ -67,7 +78,10 @@ BITMAP_N_CAP = 28        # sphere_mark and uncovered_mask hold 2^n booleans
 WHT_DUAL_CAP = 26        # the engine transforms 2^r values, r check rows
 WHT_LENGTH_CAP = 62      # 2^r * N_s <= 2^n stays exact in int64
 SYNDROME_BUCKET_CAP = 26
-FWHT_BLOCK = 1 << 18     # transform levels below this run block by block
+SYNDROME_WORK_CAP = 1 << 30  # band words that syndrome buckets one by one
+PACKED_N_CAP = 64        # words packed into one uint64
+FWHT_BLOCK = 1 << 18     # transform levels below this run block by block,
+                         # and longer transforms split over threads
 
 # pi truncated to 37 decimal digits; the bracket width 1e-37 < 2^-120 gives
 # the binomial bounds comparisons well over 80 bits of precision
@@ -179,6 +193,98 @@ def bounds_check(n: int, precision_bits: int = 128) -> BinomialBounds:
     return BinomialBounds(n, lower, c, upper, lower_ok and upper_ok)
 
 
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def parse_threads(raw: str | None, cores: int) -> int:
+    """Threads for the BALSET_THREADS value `raw` on a `cores`-core machine.
+
+    Unset (None) or 0 means all cores.  Any other value is clamped to
+    [1, cores], so no setting ever starts more threads than cores.
+    """
+    if raw is None:
+        return cores
+    try:
+        value = int(raw)
+    except ValueError as exc:
+        raise ValueError(f"BALSET_THREADS must be an integer, got {raw!r}") from exc
+    return cores if value == 0 else min(max(1, value), cores)
+
+
+def thread_setting() -> int:
+    """The library's thread setting: BALSET_THREADS, read at each call."""
+    return parse_threads(os.environ.get("BALSET_THREADS"), _cores())
+
+
+_local = threading.local()
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool threads do not exist there."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def serial_transforms() -> None:
+    """Run every transform that the calling thread starts on that thread.
+
+    A pool whose tasks already use the cores (the ensemble's trial pool)
+    passes this as its initializer, so transform pools never nest in it.
+    """
+    _local.serial = True
+
+
+def _transform_threads(size: int) -> int:
+    """min(setting, size // FWHT_BLOCK): one thread up to one block, and
+    in a thread marked by serial_transforms."""
+    if size <= FWHT_BLOCK or getattr(_local, "serial", False):
+        return 1
+    return min(thread_setting(), size // FWHT_BLOCK)
+
+
+def _in_order(fn, items) -> None:
+    fn(0, items)
+
+
+def _fan_out(threads: int):
+    """fan(fn, items): split `items` into `threads` contiguous parts and call
+    fn(i, part_i) for each, part 0 on this thread and the others on a pool
+    of at most cores - 1 threads kept for the process (starting a thread
+    costs a few percent of a 2^19 transform); with one thread, fn(0, items)
+    here.  fn must write only part i's data and part i's buffers (row i of
+    a scratch array, say).
+    """
+    if threads == 1:
+        return _in_order
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, _cores() - 1), "balset-fan")
+        pool = _pool
+
+    def fan(fn, items) -> None:
+        size = len(items)
+        parts = [items[i * size // threads : (i + 1) * size // threads] for i in range(threads)]
+        others = [pool.submit(fn, i, part) for i, part in enumerate(parts) if i]
+        try:
+            fn(0, parts[0])
+        finally:
+            for future in others:
+                future.result()
+
+    return fan
+
+
 def fwht_inplace(a: np.ndarray) -> None:
     """Unnormalized in-place Walsh-Hadamard transform (XOR kernel).
 
@@ -186,31 +292,53 @@ def fwht_inplace(a: np.ndarray) -> None:
     cache through all of them; the higher levels then pair up half-blocks
     across the array.  Integer arrays wrap, so the result is exact whenever
     the true final values fit the dtype.
+
+    A transform longer than one block splits over
+    min(thread_setting(), size // FWHT_BLOCK) threads: the blocks of the
+    low levels, then each high level's half-block pairs, are independent.
+    Up to one block, and in a thread marked by serial_transforms, it runs
+    on the calling thread.  Either way the result is the same, bit for bit.
     """
     size = a.size
     if size & (size - 1):
         raise ValueError(f"length {size} is not a power of two")
-    block = min(size, FWHT_BLOCK)
-    half = block // 2
-    scratch = np.empty(half, dtype=a.dtype)
-    for start in range(0, size, block):
-        view = a[start : start + block]
-        h = 1
-        while h < block:
-            rows = view.reshape(-1, 2 * h)
-            if h < 8:
-                # numpy runs one long strided column much faster than many
-                # rows of 2 or 4 elements
-                for c in range(h):
-                    _butterfly(rows[:, c], rows[:, c + h], scratch)
-            else:
-                _butterfly(rows[:, :h], rows[:, h:], scratch)
-            h *= 2
+    if size <= FWHT_BLOCK:
+        _fwht_block(a, np.empty(size // 2, dtype=a.dtype))
+        return
+    threads = _transform_threads(size)
+    fan = _fan_out(threads)
+    block, half = FWHT_BLOCK, FWHT_BLOCK // 2
+    scratch = np.empty((threads, half), dtype=a.dtype)  # one row per part
+
+    def low_levels(i, starts) -> None:
+        for start in starts:
+            _fwht_block(a[start : start + block], scratch[i])
+
+    fan(low_levels, range(0, size, block))
     h = block
     while h < size:
-        for lo in range(0, size, 2 * h):
-            for c in range(lo, lo + h, half):
-                _butterfly(a[c : c + half], a[c + h : c + h + half], scratch)
+
+        def high_level(i, starts, h=h) -> None:
+            for c in starts:
+                _butterfly(a[c : c + half], a[c + h : c + h + half], scratch[i])
+
+        fan(high_level, [c for lo in range(0, size, 2 * h) for c in range(lo, lo + h, half)])
+        h *= 2
+
+
+def _fwht_block(view: np.ndarray, scratch: np.ndarray) -> None:
+    """All levels of the transform of one block, in place."""
+    block = view.size
+    h = 1
+    while h < block:
+        rows = view.reshape(-1, 2 * h)
+        if h < 8:
+            # numpy runs one long strided column much faster than many
+            # rows of 2 or 4 elements
+            for c in range(h):
+                _butterfly(rows[:, c], rows[:, c + h], scratch)
+        else:
+            _butterfly(rows[:, :h], rows[:, h:], scratch)
         h *= 2
 
 
@@ -252,14 +380,21 @@ def _q_naive(code: LinearCode, spec: BalanceSpec) -> int:
     return int(remaining.size)
 
 
+def _band_size(spec: BalanceSpec) -> int:
+    lo, hi = spec.band
+    return sum(math.comb(spec.n, w) for w in range(lo, hi + 1))
+
+
 def _q_sphere_mark(code: LinearCode, spec: BalanceSpec) -> int:
     n = spec.n
-    thick = thick_sphere_words(n, spec.lam)
-    if (1 << code.k) * thick.size > SPHERE_MARK_WORK_CAP or n > BITMAP_N_CAP:
+    work = (1 << code.k) * _band_size(spec)
+    if work > SPHERE_MARK_WORK_CAP or n > BITMAP_N_CAP:
         raise CapExceededError(
             f"sphere_mark capped at 2^k * |band| <= {SPHERE_MARK_WORK_CAP} "
-            f"and n <= {BITMAP_N_CAP}"
+            f"(SPHERE_MARK_WORK_CAP) and n <= {BITMAP_N_CAP} (BITMAP_N_CAP); "
+            f"estimated 2^k * |band| = {work} at n = {n}"
         )
+    thick = thick_sphere_words(n, spec.lam)
     covered = np.zeros(1 << n, dtype=bool)
     for x in span_array(code):
         covered[thick ^ x] = True
@@ -302,6 +437,12 @@ def coset_counts(spec: BalanceSpec, rows: list[int]) -> np.ndarray:
     words are weighed, mapped through T and transformed once, at length
     2^r.  Wrapping arithmetic is exact because 0 <= 2^r N_s <= 2^n, so the
     transform runs in int32 for n <= 30 and in int64 above.
+
+    Past one FWHT_BLOCK the work splits over the transform's threads (see
+    fwht_inplace).  The dual words are weighed, and the result finished
+    (the divisibility check, then the shift by r), one row of the split
+    span (at most 2^16 values) at a time, so no full-length temporary is
+    made.
     """
     n, r = spec.n, len(rows)
     if r > WHT_DUAL_CAP:
@@ -311,12 +452,22 @@ def coset_counts(spec: BalanceSpec, rows: list[int]) -> np.ndarray:
     spectrum = _band_spectrum(n, spec.lam).astype(np.int32 if n <= 30 else np.int64)
     low, high = _split_span(rows)
     v = np.empty(1 << r, dtype=spectrum.dtype)
-    for out, u in zip(v.reshape(-1, low.size), high):
-        np.take(spectrum, np.bitwise_count(low ^ u), out=out)
+    fan = _fan_out(_transform_threads(v.size))
+    weighed = v.reshape(-1, low.size)  # one row per word of the high span
+
+    def weigh(i, part) -> None:
+        for j in part:
+            np.take(spectrum, np.bitwise_count(low ^ high[j]), out=weighed[j])
+
+    def finish(i, part) -> None:
+        for row in weighed[part.start : part.stop]:
+            if __debug__:
+                assert not (row & ((1 << r) - 1)).any(), "transform not divisible"
+            row >>= r
+
+    fan(weigh, range(high.size))
     fwht_inplace(v)
-    if __debug__:
-        assert not (v & ((1 << r) - 1)).any(), "transform not divisible"
-    v >>= r
+    fan(finish, range(high.size))
     return v
 
 
@@ -339,6 +490,14 @@ def _q_syndrome(code: LinearCode, spec: BalanceSpec) -> int:
     n, k = spec.n, code.k
     if n - k > SYNDROME_BUCKET_CAP:
         raise CapExceededError(f"syndrome buckets capped at n - k <= {SYNDROME_BUCKET_CAP}")
+    if n > PACKED_N_CAP:
+        raise CapExceededError(f"syndrome packs words in uint64: n <= {PACKED_N_CAP}, got {n}")
+    work = _band_size(spec)
+    if work > SYNDROME_WORK_CAP:
+        raise CapExceededError(
+            f"syndrome capped at |band| <= {SYNDROME_WORK_CAP} words "
+            f"(SYNDROME_WORK_CAP); estimated |band| = {work} at n = {n}"
+        )
     tables, r = syndrome_tables(code)
     covered = np.zeros(1 << r, dtype=bool)
     lo, hi = spec.band

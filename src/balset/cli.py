@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from .gf2 import (
     load_generator_matrix,
     save_generator_matrix,
 )
-from .balancing import BalanceSpec, Q_METHODS, q_exact
+from .balancing import BalanceSpec, Q_METHODS, q_exact, thread_setting
 from .constructions import figure1_fixture, greedy_balancing, min_distance
 from .ensemble import (
     EnsembleConfig,
@@ -54,15 +53,6 @@ def _emit(obj: dict) -> None:
 
 def _note(text: str) -> None:
     print(text, file=sys.stderr)
-
-
-def _threads() -> int:
-    raw = os.environ.get("BALSET_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"BALSET_THREADS must be an integer, got {raw!r}") from exc
-    return os.cpu_count() or 1 if value == 0 else max(1, value)
 
 
 def _parse_word(text: str, n: int) -> Word:
@@ -168,7 +158,7 @@ def _parse_rows_range(text: str) -> list[int]:
 def cmd_ensemble(args: argparse.Namespace) -> int:
     prefix = load_generator_matrix(args.prefix) if args.prefix else None
     rows_list = _parse_rows_range(args.rows)
-    threads = _threads()
+    threads = thread_setting()
     reports = []
     for rows in rows_list:
         config = EnsembleConfig(

@@ -20,7 +20,13 @@ from fractions import Fraction
 import numpy as np
 
 from .gf2 import CapExceededError, LinearCode, Word
-from .balancing import BalanceSpec, coset_counts, q_exact, shift_overlaps
+from .balancing import (
+    BalanceSpec,
+    coset_counts,
+    q_exact,
+    serial_transforms,
+    shift_overlaps,
+)
 
 __all__ = [
     "ConcentrationReport",
@@ -133,11 +139,13 @@ def estimate_balancing_probability(
 ) -> EnsembleReport:
     """Fraction of sampled row lists whose span covers everything, with a
     Wilson 95% interval.  Deterministic for a fixed config regardless of
-    thread count (per-trial streams, order-independent aggregation)."""
+    thread count (per-trial streams, order-independent aggregation).  With
+    threads > 1 the trials share the cores, so each trial's transform runs
+    on its own trial's thread (serial_transforms)."""
     spec = BalanceSpec(config.n, config.lam)
     trials = range(config.trials)
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(threads, initializer=serial_transforms) as pool:
             outcomes = tuple(pool.map(lambda t: _run_trial(config, spec, t), trials))
     else:
         outcomes = tuple(_run_trial(config, spec, t) for t in trials)

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,12 +24,14 @@ from balset.balancing import (
     fwht_inplace,
     is_balancing_set,
     pair_distance_count,
+    parse_threads,
     q_exact,
     shift_overlaps,
     sphere_intersection_size,
     thick_sphere_words,
     uncovered_mask,
 )
+from balset.constructions import figure1_fixture
 from balset.gf2 import LinearCode, Word, enumerate_span, span_array, syndrome_bits
 
 
@@ -138,6 +144,88 @@ def test_fwht_blocked_levels_match_halves() -> None:
     assert np.array_equal(a, np.concatenate([lo + hi, lo - hi]))
 
 
+def test_parse_threads_clamps_to_cores() -> None:
+    # unset or 0 means every core, and no value asks for more threads than
+    # cores; parsing alone starts no thread
+    assert parse_threads(None, 2) == 2
+    assert parse_threads("0", 3) == 3
+    assert parse_threads("1", 2) == 1
+    assert parse_threads("2", 4) == 2
+    assert parse_threads("64", 2) == 2
+    assert parse_threads("-5", 2) == 1
+    with pytest.raises(ValueError, match="BALSET_THREADS"):
+        parse_threads("many", 2)
+
+
+def transform_by_threads(monkeypatch, transform, *args) -> list[np.ndarray]:
+    """transform(*args) run with BALSET_THREADS = 1, then 2."""
+    out = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("BALSET_THREADS", threads)
+        out.append(transform(*args))
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("r", [19, 20, 21])
+def test_fwht_threads_bit_identical(fan_widths, monkeypatch, r, dtype) -> None:
+    # full-range values, so the butterflies wrap
+    info = np.iinfo(dtype)
+    a = np.random.default_rng(r).integers(info.min, info.max, 1 << r, dtype, endpoint=True)
+
+    def transformed(v: np.ndarray) -> np.ndarray:
+        v = v.copy()
+        fwht_inplace(v)
+        return v
+
+    serial, threaded = transform_by_threads(monkeypatch, transformed, a)
+    assert fan_widths == [1, 2]
+    assert np.array_equal(serial, threaded)
+    assert np.array_equal(transformed(threaded), a * dtype(1 << r))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_runs_threaded_transforms(fan_widths, monkeypatch) -> None:
+    # the parent's pool threads do not exist in a forked child; the child
+    # must start its own instead of waiting on them forever
+    monkeypatch.setenv("BALSET_THREADS", "2")
+
+    def transform_ones() -> None:
+        a = np.ones(1 << 19, dtype=np.int32)
+        fwht_inplace(a)
+        assert a[0] == 1 << 19 and not a[1:].any()
+
+    transform_ones()
+    assert fan_widths == [2]
+    child = multiprocessing.get_context("fork").Process(target=transform_ones)
+    child.start()
+    child.join(60)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+    assert not hung and child.exitcode == 0
+
+
+@pytest.mark.parametrize("lam", [0, 1, 2])
+def test_coset_counts_threads_bit_identical_n28(fan_widths, monkeypatch, lam) -> None:
+    rows = [h.bits for h in figure1_fixture(28).code.dual_basis()]
+    assert len(rows) == 22
+    serial, threaded = transform_by_threads(monkeypatch, coset_counts, BalanceSpec(28, lam), rows)
+    assert fan_widths == [1, 1, 2, 2]
+    assert np.array_equal(serial, threaded)
+    assert serial.sum() == sum(math.comb(28, w) for w in range(14 - lam, 15 + lam))
+
+
+def test_coset_counts_threads_bit_identical_int64(fan_widths, monkeypatch) -> None:
+    # n > 30 transforms in int64
+    code = seeded_code(34, 14, 34)
+    rows = [w.bits for w in code.dual_basis()]
+    assert len(rows) == 20
+    serial, threaded = transform_by_threads(monkeypatch, coset_counts, BalanceSpec(34, 1), rows)
+    assert serial.dtype == np.int64 and 2 in fan_widths
+    assert np.array_equal(serial, threaded)
+
+
 def test_thick_sphere_words_cached_readonly() -> None:
     words = thick_sphere_words(8, 1)
     assert len(words) == math.comb(8, 3) + math.comb(8, 4) + math.comb(8, 5)
@@ -212,6 +300,33 @@ def test_method_caps() -> None:
         q_exact(long_code, BalanceSpec(64))
     with pytest.raises(CapExceededError, match="r <= 26"):
         coset_counts(BalanceSpec(28), [1] * 27)
+
+
+def long_codes() -> list[LinearCode]:
+    """n = 40, k = 20 (C(40, 20) ~ 1.4e11 band words) and n = 70, k = 50
+    (words past uint64): no word-level oracle can run either."""
+    rng = random.Random(70)
+    wide = LinearCode.from_ints(70, [rng.getrandbits(70) for _ in range(50)])
+    assert wide.k == 50
+    return [seeded_code(40, 20, 40), wide]
+
+
+def test_sphere_mark_refuses_before_allocating() -> None:
+    for code in long_codes():
+        t0 = time.perf_counter()
+        with pytest.raises(CapExceededError, match="SPHERE_MARK_WORK_CAP.*estimated"):
+            q_exact(code, BalanceSpec(code.n), "sphere_mark")
+        assert time.perf_counter() - t0 < 1.0
+
+
+def test_syndrome_bounds_its_enumeration() -> None:
+    n40, n70 = long_codes()
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceededError, match=r"SYNDROME_WORK_CAP.*estimated \|band\| = 137846528820"):
+        q_exact(n40, BalanceSpec(40), "syndrome")
+    with pytest.raises(CapExceededError, match="n <= 64"):
+        q_exact(n70, BalanceSpec(70), "syndrome")
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_report_fields_and_json() -> None:

@@ -6,6 +6,7 @@ so determinism checks compare everything except those fields.
 """
 
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -105,6 +106,20 @@ class TestCheck:
             assert rep["method"] == method
             reports.append((rep["q_num"], rep["q_den"], rep["uncovered"]))
         assert len(set(reports)) == 1
+
+    def test_thread_setting_does_not_change_output(self, run, fan_widths, monkeypatch, tmp_path):
+        # the n = 28 fixture transforms 2^22 values, so two threads split it
+        path = tmp_path / "fig28.txt"
+        save_generator_matrix(figure1_fixture(28).code, path)
+        outputs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("BALSET_THREADS", threads)
+            outputs[threads] = [
+                re.sub(r'"elapsed_ms": [^,}]+', "", run("check", "--matrix", path, "--lambda", lam)[1])
+                for lam in range(3)
+            ]
+        assert 2 in fan_widths
+        assert outputs["1"] == outputs["2"]
 
     def test_output_identical_up_to_timing(self, run, matrices):
         _, out1, _ = run("check", "--matrix", matrices / "fig8.txt")

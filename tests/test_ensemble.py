@@ -113,6 +113,18 @@ class TestEstimateBalancingProbability:
             == estimate_balancing_probability(cfg, threads=4).outcomes
         )
 
+    def test_trial_pool_runs_transforms_serially(self, fan_widths, monkeypatch):
+        # one row at n = 20 leaves r >= 19 check rows, a transform of two
+        # blocks: on its own it fans out, in the trial pool it must not
+        monkeypatch.setenv("BALSET_THREADS", "2")
+        cfg = EnsembleConfig(20, 1, trials=4, master_seed=5)
+        alone = estimate_balancing_probability(cfg, threads=1)
+        assert 2 in fan_widths
+        fan_widths.clear()
+        pooled = estimate_balancing_probability(cfg, threads=2)
+        assert len(fan_widths) >= 8 and set(fan_widths) == {1}
+        assert pooled == alone
+
     def test_trials_extend_as_a_prefix(self):
         # per-trial keying: a shorter run is a prefix of a longer one
         short = estimate_balancing_probability(EnsembleConfig(8, 3, trials=10, master_seed=3))
