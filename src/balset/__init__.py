@@ -12,7 +12,6 @@ the general decision problem hard.
 from .gf2 import (
     CapExceededError,
     LinearCode,
-    SPAN_CAP,
     Word,
     distance,
     enumerate_span,

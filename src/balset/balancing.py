@@ -15,7 +15,8 @@ The count only depends on which cosets of C miss the band, so the engine
 2^(n-k) syndrome space: one Walsh-Hadamard transform of the band's
 Krawtchouk spectrum over the dual code gives the number of band words in
 every coset.  `naive`, `sphere_mark` and `syndrome` stay as independent
-oracles over words.
+oracles over words.  Each method states its work and bytes up front and
+refuses through gf2.check_budget before it allocates.
 
 Transforms longer than one FWHT_BLOCK split their work over a small thread
 pool (numpy releases the GIL in the array passes).  BALSET_THREADS is the
@@ -29,7 +30,6 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -40,6 +40,8 @@ from .gf2 import (
     CapExceededError,
     LinearCode,
     bulk_syndromes,
+    check_budget,
+    check_packed,
     span_array,
     syndrome_tables,
     weight_words,
@@ -71,15 +73,7 @@ __all__ = [
 
 Q_METHODS = ("naive", "sphere_mark", "wht", "syndrome")
 
-NAIVE_N_CAP = 24
-NAIVE_K_CAP = 20
-SPHERE_MARK_WORK_CAP = 1 << 36
-BITMAP_N_CAP = 28        # sphere_mark and uncovered_mask hold 2^n booleans
-WHT_DUAL_CAP = 26        # the engine transforms 2^r values, r check rows
 WHT_LENGTH_CAP = 62      # 2^r * N_s <= 2^n stays exact in int64
-SYNDROME_BUCKET_CAP = 26
-SYNDROME_WORK_CAP = 1 << 30  # band words that syndrome buckets one by one
-PACKED_N_CAP = 64        # words packed into one uint64
 FWHT_BLOCK = 1 << 18     # transform levels below this run block by block,
                          # and longer transforms split over threads
 
@@ -221,7 +215,7 @@ def thread_setting() -> int:
 
 
 _local = threading.local()
-_pool: ThreadPoolExecutor | None = None
+_pool = None  # the ThreadPoolExecutor of _fan_out, made on first use
 _pool_lock = threading.Lock()
 
 
@@ -269,6 +263,8 @@ def _fan_out(threads: int):
     global _pool
     with _pool_lock:
         if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
             _pool = ThreadPoolExecutor(max(1, _cores() - 1), "balset-fan")
         pool = _pool
 
@@ -365,14 +361,17 @@ def _validate(code: LinearCode, spec: BalanceSpec) -> None:
 
 
 def _q_naive(code: LinearCode, spec: BalanceSpec) -> int:
+    """The early exit makes the work data-dependent, so it is counted as
+    the scan goes: each codeword touches every word still uncovered."""
     n = spec.n
-    if n > NAIVE_N_CAP or code.k > NAIVE_K_CAP:
-        raise CapExceededError(
-            f"naive method capped at n <= {NAIVE_N_CAP}, k <= {NAIVE_K_CAP}"
-        )
+    # the uncovered words and their XOR, then the distances and the mask
+    check_budget("naive", nbytes=18 << n)
     lo, hi = spec.band
     remaining = np.arange(1 << n, dtype=np.uint64)
+    work = 0
     for x in span_array(code):
+        work += remaining.size
+        check_budget("naive", work)
         d = np.bitwise_count(remaining ^ x)
         remaining = remaining[(d < lo) | (d > hi)]
         if remaining.size == 0:
@@ -386,14 +385,9 @@ def _band_size(spec: BalanceSpec) -> int:
 
 
 def _q_sphere_mark(code: LinearCode, spec: BalanceSpec) -> int:
-    n = spec.n
-    work = (1 << code.k) * _band_size(spec)
-    if work > SPHERE_MARK_WORK_CAP or n > BITMAP_N_CAP:
-        raise CapExceededError(
-            f"sphere_mark capped at 2^k * |band| <= {SPHERE_MARK_WORK_CAP} "
-            f"(SPHERE_MARK_WORK_CAP) and n <= {BITMAP_N_CAP} (BITMAP_N_CAP); "
-            f"estimated 2^k * |band| = {work} at n = {n}"
-        )
+    n, band = spec.n, _band_size(spec)
+    # one mark per codeword and band word; the bitmap, the band and its XOR
+    check_budget("sphere_mark", band << code.k, (1 << n) + 16 * band)
     thick = thick_sphere_words(n, spec.lam)
     covered = np.zeros(1 << n, dtype=bool)
     for x in span_array(code):
@@ -442,13 +436,13 @@ def coset_counts(spec: BalanceSpec, rows: list[int]) -> np.ndarray:
     fwht_inplace).  The dual words are weighed, and the result finished
     (the divisibility check, then the shift by r), one row of the split
     span (at most 2^16 values) at a time, so no full-length temporary is
-    made.
+    made.  The budget is r levels over 2^r values, held in that dtype.
     """
     n, r = spec.n, len(rows)
-    if r > WHT_DUAL_CAP:
-        raise CapExceededError(f"wht capped at r <= {WHT_DUAL_CAP} check rows, got {r}")
     if n > WHT_LENGTH_CAP:
         raise CapExceededError(f"wht capped at n <= {WHT_LENGTH_CAP}, got {n}")
+    itemsize = 4 if n <= 30 else 8
+    check_budget("coset_counts", r << r, itemsize << r)
     spectrum = _band_spectrum(n, spec.lam).astype(np.int32 if n <= 30 else np.int64)
     low, high = _split_span(rows)
     v = np.empty(1 << r, dtype=spectrum.dtype)
@@ -485,19 +479,12 @@ def _q_syndrome(code: LinearCode, spec: BalanceSpec) -> int:
 
     The number of codewords at covering distance from y only depends on the
     coset y + C, so it suffices to bucket the thick-sphere words by their
-    syndrome and count empty buckets.
+    syndrome and count empty buckets.  Each band word costs one table
+    lookup per 16-bit limb plus the scatter; the buckets are 2^r booleans.
     """
     n, k = spec.n, code.k
-    if n - k > SYNDROME_BUCKET_CAP:
-        raise CapExceededError(f"syndrome buckets capped at n - k <= {SYNDROME_BUCKET_CAP}")
-    if n > PACKED_N_CAP:
-        raise CapExceededError(f"syndrome packs words in uint64: n <= {PACKED_N_CAP}, got {n}")
-    work = _band_size(spec)
-    if work > SYNDROME_WORK_CAP:
-        raise CapExceededError(
-            f"syndrome capped at |band| <= {SYNDROME_WORK_CAP} words "
-            f"(SYNDROME_WORK_CAP); estimated |band| = {work} at n = {n}"
-        )
+    check_packed("syndrome", n)
+    check_budget("syndrome", _band_size(spec) * ((n + 15) // 16 + 1), 1 << (n - k))
     tables, r = syndrome_tables(code)
     covered = np.zeros(1 << r, dtype=bool)
     lo, hi = spec.band
@@ -518,6 +505,8 @@ def q_exact(code: LinearCode, spec: BalanceSpec, method: str = "auto") -> QRepor
                    2^(n-k) over the dual code, then count empty cosets.
       syndrome:    bucket thick-sphere words by syndrome and count empty
                    buckets.
+    Each method checks its estimated work and bytes against gf2's WORK_CAP
+    and BYTES_CAP before it allocates, and refuses past them.
     """
     _validate(code, spec)
     chosen = "wht" if method == "auto" else method
@@ -549,8 +538,8 @@ def uncovered_mask(code: LinearCode, spec: BalanceSpec) -> np.ndarray:
     """
     _validate(code, spec)
     n = spec.n
-    if n > BITMAP_N_CAP:
-        raise CapExceededError(f"uncovered_mask capped at n <= {BITMAP_N_CAP}")
+    # the 2^n booleans, in pieces and then joined
+    check_budget("uncovered_mask", nbytes=2 << n)
     duals = _dual_rows(code)
     empty = coset_counts(spec, duals) == 0
     # the syndrome of coordinate c has bit j set where dual row j has c

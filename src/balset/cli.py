@@ -1,4 +1,4 @@
-"""Command-line interface: reproducible checks, experiments, and benchmarks.
+"""Command-line interface: reproducible checks and experiments.
 
 Machine-readable results go to stdout as JSON (one object per line);
 human-oriented tables and warnings go to stderr.  Exit codes: 0 = verdict
@@ -236,6 +236,8 @@ def _cmd_codec_build(args: argparse.Namespace) -> int:
                 _verify_all_messages(candidate)
             codec = candidate
             break
+        except CapExceededError:
+            raise  # no reseeding of C'' makes C' fit the budgets
         except (BalancingSearchError, ValueError) as exc:
             if attempt == args.reseed_retries:
                 _note(f"[codec] giving up after {attempt + 1} attempts: {exc}")
@@ -387,26 +389,6 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return 0 if report.equivalent else 1
 
 
-# -- bench --------------------------------------------------------------------
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    for n in sizes:
-        if n in (28, 32) and not args.long:
-            _note(f"[bench] skipping n={n} (needs --long)")
-            continue
-        fx = figure1_fixture(n)
-        spec = BalanceSpec(n, args.lam)
-        for method in Q_METHODS:
-            try:
-                report = q_exact(fx.code, spec, method)
-            except CapExceededError as exc:
-                _note(f"[bench] n={n} {method}: {exc}")
-                continue
-            _emit(report.to_json_dict())
-    return 0
-
-
 # -- parser --------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -477,12 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("bench", help="time the exact methods on committed bases")
-    p.add_argument("--sizes", default="8,12,16,20")
-    p.add_argument("--lambda", dest="lam", type=int, default=0)
-    p.add_argument("--long", action="store_true")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -11,7 +11,6 @@ included.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,11 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .constructions import min_distance
 from .gf2 import (
-    CapExceededError,
     LinearCode,
     Word,
     bulk_syndromes,
+    check_budget,
     enumerate_span,
     load_generator_matrix,
     row_reduce,
@@ -48,9 +48,6 @@ __all__ = [
     "load_codec",
     "save_codec",
 ]
-
-SYNDROME_WIDTH_CAP = 26
-BALANCED_PAIRS_CAP = 1 << 13
 
 
 class BalancingSearchError(RuntimeError):
@@ -81,9 +78,10 @@ class SyndromeTable:
 
 
 def _build_syndrome_table(code: LinearCode, radius: int) -> SyndromeTable:
+    """The leaders are unique within the radius, so the words scanned
+    number at most 2^r; the table holds 9 bytes per syndrome."""
     n, r = code.n, code.n - code.k
-    if r > SYNDROME_WIDTH_CAP:
-        raise CapExceededError(f"syndrome table needs n - k <= {SYNDROME_WIDTH_CAP}")
+    check_budget("syndrome table", nbytes=9 << r)
     tables, _ = syndrome_tables(code)
     leaders = np.zeros(1 << r, dtype=np.uint64)
     filled = np.zeros(1 << r, dtype=bool)
@@ -119,12 +117,6 @@ class Codec:
         return self.cbal.k
 
 
-def _component_min_distance(code: LinearCode) -> int:
-    if code.k == 0:
-        raise ValueError("information component must have positive dimension")
-    return int(np.bitwise_count(span_array(code)[1:]).min())
-
-
 def build_codec(
     gprime: LinearCode,
     gbal: LinearCode,
@@ -147,7 +139,9 @@ def build_codec(
         raise ValueError(
             f"components intersect nontrivially: rank {rank} < {gprime.k} + {gbal.k}"
         )
-    d_prime = _component_min_distance(gprime)
+    if gprime.k == 0:
+        raise ValueError("information component must have positive dimension")
+    d_prime = min_distance(gprime)
     limit = (d_prime - 1) // 2
     if t_prime is None:
         t_prime = limit
@@ -244,10 +238,7 @@ def balanced_subcode_min_distance(codec: Codec) -> int | float:
     balanced = words[np.bitwise_count(words) == codec.n // 2]
     if balanced.size < 2:
         return math.inf
-    if balanced.size > BALANCED_PAIRS_CAP:
-        raise CapExceededError(
-            f"{balanced.size} balanced words exceed the pairwise cap"
-        )
+    check_budget("balanced pairs", balanced.size**2 // 2)
     best = codec.n + 1
     for i in range(balanced.size - 1):
         d = int(np.bitwise_count(balanced[i + 1 :] ^ balanced[i]).min())
@@ -307,12 +298,16 @@ def save_codec(codec: Codec, directory: str | Path, stem: str = "codec") -> Path
         "cprime_file": cprime_file,
         "cbal_file": cbal_file,
     }
+    import json
+
     path = directory / f"{stem}_manifest.json"
     path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     return path
 
 
 def load_codec(manifest_path: str | Path) -> Codec:
+    import json
+
     path = Path(manifest_path)
     manifest = json.loads(path.read_text())
     gprime = load_generator_matrix(path.parent / manifest["cprime_file"])

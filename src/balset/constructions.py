@@ -14,14 +14,13 @@ and the smallest best generator is still the one chosen.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .gf2 import CapExceededError, LinearCode, Word, enumerate_span, span_array
+from .gf2 import LinearCode, Word, check_budget, enumerate_span, span_array
 from .balancing import (
     BalanceSpec,
     coset_counts,
@@ -49,8 +48,6 @@ __all__ = [
     "simplex_extended",
     "verify_sum_of_squares",
 ]
-
-GREEDY_N_CAP = 24
 
 
 # -- prefix-flip balancing -------------------------------------------------
@@ -201,7 +198,7 @@ def _autocorrelation(empty: np.ndarray) -> np.ndarray:
     """A[s] = |S . (S + s)| for every syndrome s, S the empty cosets: the
     XOR autocorrelation, one transform pair for all shifts at once."""
     r = empty.size.bit_length() - 1
-    v = empty.astype(np.int32)  # |transform| <= 2^r: int32 under GREEDY_N_CAP
+    v = empty.astype(np.int32)  # |transform| <= 2^r; the greedy budget keeps r <= 26
     fwht_inplace(v)
     v = np.multiply(v, v, dtype=np.int64)
     fwht_inplace(v)
@@ -269,6 +266,11 @@ def greedy_balancing(
     the score depends on the weight of x alone and comes in closed form.
     After a step S keeps the cosets that stay empty, folded onto the
     2^(n-k-1) syndromes of the larger code.
+
+    The largest step transforms 2^(n-1) syndromes twice, so the work is
+    budgeted at 2(n-1) 2^(n-1) touches and 13 bytes per syndrome (the
+    empty set, the int32 and int64 transforms), checked before the first
+    step.
     """
     if spec is None:
         spec = BalanceSpec(n)
@@ -276,8 +278,7 @@ def greedy_balancing(
         raise ValueError(f"spec length {spec.n} != n = {n}")
     if mode not in ("full_scan", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    if n > GREEDY_N_CAP:
-        raise CapExceededError(f"greedy builder capped at n <= {GREEDY_N_CAP}")
+    check_budget("greedy_balancing", 2 * (n - 1) << (n - 1), 13 << (n - 1))
     if batch is None:
         batch = 4 * n
     if mode == "sampled" and batch < 1:
@@ -416,6 +417,8 @@ class FixtureCode:
 
 
 def _fixture_digest() -> str:
+    import hashlib
+
     blob = "\n".join(
         f"{n}:{k}:{d}:" + ",".join(rows)
         for n, (k, d, rows) in sorted(_FIXTURES.items())

@@ -13,13 +13,12 @@ can execute in any order or in parallel.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .gf2 import CapExceededError, LinearCode, Word
+from .gf2 import LinearCode, Word, check_budget
 from .balancing import (
     BalanceSpec,
     coset_counts,
@@ -39,8 +38,6 @@ __all__ = [
     "weight_concentration_check",
     "wilson_interval",
 ]
-
-LEMMA1_N_CAP = 16
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -145,6 +142,8 @@ def estimate_balancing_probability(
     spec = BalanceSpec(config.n, config.lam)
     trials = range(config.trials)
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(threads, initializer=serial_transforms) as pool:
             outcomes = tuple(pool.map(lambda t: _run_trial(config, spec, t), trials))
     else:
@@ -169,15 +168,15 @@ def lemma1_identity_check(
     |U . (U + x)| = 2^k |S . (S + s)|, s the syndrome of x, and each of the
     2^(n-k) syndromes is the syndrome of 2^k shifts.  shift_overlaps counts
     each overlap directly, not through the identity under test, so the
-    left side is sum_s |S . (S + s)| * 4^k / 4^n.
+    left side is sum_s |S . (S + s)| * 4^k / 4^n.  That is 2^r shifts of
+    ceil(2^r / 64) packed words each, r = n - k, budgeted before the
+    transform runs.
     """
     n = spec.n
     if code.n != n:
         raise ValueError(f"code length {code.n} != spec length {spec.n}")
-    if n > LEMMA1_N_CAP:
-        raise CapExceededError(
-            f"lemma1 shift sum capped at n <= {LEMMA1_N_CAP} (LEMMA1_N_CAP), got n = {n}"
-        )
+    r = n - code.k
+    check_budget("lemma1_identity_check", (1 << r) * -(-(1 << r) // 64))
     empty = coset_counts(spec, [h.bits for h in code.dual_basis()]) == 0
     unc = int(np.count_nonzero(empty)) << code.k
     rhs = Fraction(unc, 1 << n) ** 2

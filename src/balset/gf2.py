@@ -4,7 +4,12 @@ A word of length n lives in F_2^n and is stored as a Python integer:
 coordinate j (1-based) sits at bit position j - 1, so coordinate 1 is the
 least-significant bit.  Text renderings (and the matrix file format) put
 coordinate 1 leftmost.  Integers are arbitrary precision, so n is only
-limited by the caps of the exhaustive algorithms built on top.
+limited by the budgets of the exhaustive algorithms built on top.
+
+Every array path states its cost up front, from (n, k, r, lam) and
+binomials, and passes it to `check_budget` before it allocates: WORK_CAP
+bounds the element touches of one call, BYTES_CAP the bytes it holds at
+once.  Words packed into uint64 also need n <= PACKED_N_CAP.
 """
 
 from __future__ import annotations
@@ -17,10 +22,14 @@ from typing import Iterable, Iterator
 import numpy as np
 
 __all__ = [
+    "BYTES_CAP",
     "CapExceededError",
     "LinearCode",
-    "SPAN_CAP",
+    "PACKED_N_CAP",
+    "WORK_CAP",
     "Word",
+    "check_budget",
+    "check_packed",
     "distance",
     "enumerate_span",
     "load_generator_matrix",
@@ -38,12 +47,33 @@ __all__ = [
     "xor_span",
 ]
 
-# enumerate_span / span_array refuse codes with more basis rows than this
-SPAN_CAP = 30
+WORK_CAP = 1 << 31   # element touches of one call
+BYTES_CAP = 1 << 30  # bytes one call holds at once
+PACKED_N_CAP = 64    # words packed into one uint64
 
 
 class CapExceededError(ValueError):
-    """An operation was asked to enumerate more state than its cap allows."""
+    """An operation was asked to do more work, or hold more bytes, than its
+    budget allows; raised before the work starts."""
+
+
+def check_budget(what: str, work: int = 0, nbytes: int = 0) -> None:
+    """Refuse `what` when its estimated work or bytes exceed WORK_CAP or
+    BYTES_CAP; the message names the budget and the estimate."""
+    if work > WORK_CAP:
+        raise CapExceededError(
+            f"{what}: estimated work {work} exceeds WORK_CAP = {WORK_CAP}"
+        )
+    if nbytes > BYTES_CAP:
+        raise CapExceededError(
+            f"{what}: estimated {nbytes} bytes exceed BYTES_CAP = {BYTES_CAP}"
+        )
+
+
+def check_packed(what: str, n: int, bits: int = PACKED_N_CAP) -> None:
+    """Refuse `what` when words of length n do not fit `bits`-bit integers."""
+    if n > bits:
+        raise CapExceededError(f"{what} packs words in {bits} bits: n <= {bits}, got n = {n}")
 
 
 @dataclass(frozen=True)
@@ -222,7 +252,13 @@ class LinearCode:
         return tuple(out)
 
 
-def enumerate_span(code: LinearCode, cap: int = SPAN_CAP) -> Iterator[Word]:
+def _check_span(what: str, k: int) -> None:
+    """The check span_array and enumerate_span share: 2^k words, held as
+    16 bytes each while the last doubling of xor_span runs."""
+    check_budget(what, 1 << k, 16 << k)
+
+
+def enumerate_span(code: LinearCode) -> Iterator[Word]:
     """Yield all 2^k codewords, successive words differing by one basis row.
 
     Walks the basis combinations in reflected Gray order so each step is a
@@ -230,8 +266,7 @@ def enumerate_span(code: LinearCode, cap: int = SPAN_CAP) -> Iterator[Word]:
     """
     basis = [b.bits for b in code.basis]
     k = len(basis)
-    if k > cap:
-        raise CapExceededError(f"span of dimension {k} exceeds cap {cap}")
+    _check_span("enumerate_span", k)
     acc = 0
     yield Word(code.n, 0)
     for i in range(1, 1 << k):
@@ -242,18 +277,19 @@ def enumerate_span(code: LinearCode, cap: int = SPAN_CAP) -> Iterator[Word]:
 def xor_span(values: list[int], dtype: type = np.uint64) -> np.ndarray:
     """XOR of every subset of values, indexed by the subset's bit mask;
     every value must fit the unsigned dtype."""
+    width = max((v.bit_length() for v in values), default=0)
+    check_packed("xor_span", width, np.iinfo(dtype).bits)
     out = np.zeros(1, dtype=dtype)
     for v in values:
         out = np.concatenate([out, out ^ dtype(v)])
     return out
 
 
-def span_array(code: LinearCode, cap: int = SPAN_CAP) -> np.ndarray:
+def span_array(code: LinearCode) -> np.ndarray:
     """All 2^k codewords as a uint64 array (binary-counter order)."""
-    basis = code.basis
-    if len(basis) > cap:
-        raise CapExceededError(f"span of dimension {len(basis)} exceeds cap {cap}")
-    return xor_span([b.bits for b in basis])
+    check_packed("span_array", code.n)
+    _check_span("span_array", code.k)
+    return xor_span([b.bits for b in code.basis])
 
 
 def syndrome_bits(code: LinearCode, bits: int) -> int:
@@ -373,6 +409,7 @@ def weight_words_chunks(n: int, w: int, chunk: int = 1 << 22) -> Iterator[np.nda
     """Yield all C(n, w) weight-w words in ascending order, chunk by chunk."""
     if not 0 <= w <= n:
         raise ValueError(f"weight {w} out of range for length {n}")
+    check_packed("weight_words_chunks", n)
     total = math.comb(n, w)
     done = 0
     while done < total:
@@ -385,6 +422,8 @@ def weight_words(n: int, w: int) -> np.ndarray:
     """All C(n, w) weight-w words of length n, ascending (uint64)."""
     if not 0 <= w <= n:
         raise ValueError(f"weight {w} out of range for length {n}")
+    check_packed("weight_words", n)
+    check_budget("weight_words", nbytes=8 * math.comb(n, w))
     return _fill_weight_words(n, w, 0, math.comb(n, w))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import CapExceededError, LinearCode, Word
+from .gf2 import CapExceededError, LinearCode, Word, check_budget
 from .balancing import BalanceSpec, coset_counts
 
 __all__ = [
@@ -35,7 +35,6 @@ MATCHING_M_CAP = 20
 COLUMN_SEARCH_CAP = 28   # total columns of H for meet-in-the-middle
 BUCKET_SYNDROME_CAP = 18  # 8m + t
 BUCKET_LENGTH_CAP = 28    # 16m - 2t
-STRUCTURAL_BYTES_CAP = 1 << 28  # structural table bytes; about 23 MB at t=6, m=20
 
 
 @dataclass(frozen=True)
@@ -248,16 +247,12 @@ def _reachability_masks(h: LinearCode, top: int) -> np.ndarray:
     Adding a column col to the pool moves every syndrome's counts from s to
     s ^ col, one up: one gather of all limbs, one shift up by one bit with
     the carry between limbs, one OR.  Refuses with CapExceededError before
-    allocating anything when the working set exceeds STRUCTURAL_BYTES_CAP.
+    allocating anything when the passes exceed WORK_CAP or the working set
+    exceeds BYTES_CAP.
     """
     width, limbs = len(h.rows), top // 64 + 1
     # masks, the gathered copy and its shift, the index and its XOR, per syndrome
-    estimate = (3 * limbs + 2) * 8 << width
-    if estimate > STRUCTURAL_BYTES_CAP:
-        raise CapExceededError(
-            f"structural method capped at {STRUCTURAL_BYTES_CAP} bytes "
-            f"(STRUCTURAL_BYTES_CAP); this table needs about {estimate}"
-        )
+    check_budget("structural", h.n * limbs << width, (3 * limbs + 2) * 8 << width)
     masks = np.zeros((limbs, 1 << width), dtype=np.uint64)
     masks[0, 0] = 1
     idx = np.arange(1 << width)
@@ -295,8 +290,8 @@ def every_coset_has_balanced_word(
     and one shift per column (_reachability_masks).  The answer is no iff
     some count w in [t, 8m - t] is missing from some mask; the
     counterexample takes the smallest such w, then the smallest such s_bot,
-    with s_top = 2^(8m-t-w) - 1.  The table's working set is capped at
-    STRUCTURAL_BYTES_CAP bytes, checked before it is allocated.
+    with s_top = 2^(8m-t-w) - 1.  The table's passes and working set are
+    checked against WORK_CAP and BYTES_CAP before it is allocated.
 
     Both methods agree; bucket is capped at 8m + t <= 18 and 16m - 2t <= 28.
     """

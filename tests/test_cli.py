@@ -259,6 +259,19 @@ class TestCodec:
         assert code == 0 and "reseeding" in err
         assert json_lines(out)[0]["k_prime"] == 5
 
+    def test_build_past_uint64_is_input_error(self, run, tmp_path):
+        # n = 66 words do not fit the packed uint64 paths: a refusal that
+        # names the guard, exit 2, not a traceback
+        cprime, cbal = tmp_path / "cprime66.txt", tmp_path / "cbal66.txt"
+        save_generator_matrix([Word(66, (1 << 66) - 1)], cprime)
+        save_generator_matrix([Word(66, 1)], cbal)
+        code, out, err = run(
+            "codec", "build", "--cprime", cprime, "--cbal", cbal,
+            "--out", tmp_path, "--reseed-retries", 2,
+        )
+        assert code == 2 and not out.strip()
+        assert "n <= 64, got n = 66" in err and "reseeding" not in err
+
     def test_encode_decode_pair(self, run):
         manifest = CODEC_DIR / "codec16_manifest.json"
         code, out, _ = run(
@@ -367,22 +380,6 @@ class TestReduce:
     def test_malformed_instance_is_usage_error(self, run, tmp_path):
         path = self.write(tmp_path, "bad.txt", "2 2\n1 1 1\n")
         assert run("reduce", "--hypergraph", path, "--out", tmp_path)[0] == 2
-
-
-class TestBench:
-    def test_small_size_reports_all_methods(self, run):
-        code, out, _ = run("bench", "--sizes", "8")
-        lines = json_lines(out)
-        assert code == 0 and len(lines) == 4
-        assert {rep["method"] for rep in lines} == {
-            "naive", "sphere_mark", "wht", "syndrome"
-        }
-        assert all(rep["q_num"] == 0 for rep in lines)
-
-    def test_long_sizes_skipped_by_default(self, run):
-        code, out, err = run("bench", "--sizes", "28")
-        assert code == 0 and not out.strip()
-        assert "needs --long" in err
 
 
 def test_console_script_installed():

@@ -208,13 +208,16 @@ class TestBalancedSubcodeDistance:
         assert balanced_subcode_min_distance(codec) == math.inf
 
     def test_pairwise_cap(self):
-        rows = [Word(16, 1 << i) for i in range(16)]
+        # all of F_2^20: C(20, 10) = 184756 > 2^16 balanced words, so the
+        # B^2 / 2 pairs exceed WORK_CAP
+        rows = [Word(20, 1 << i) for i in range(20)]
         codec = build_codec(
-            LinearCode(16, tuple(rows[:8])),
-            LinearCode(16, tuple(rows[8:])),
+            LinearCode(20, tuple(rows[:10])),
+            LinearCode(20, tuple(rows[10:])),
             strict=False,
         )
-        with pytest.raises(CapExceededError):
+        pairs = 184756**2 // 2
+        with pytest.raises(CapExceededError, match=f"pairs: estimated work {pairs} exceeds WORK_CAP"):
             balanced_subcode_min_distance(codec)
 
 

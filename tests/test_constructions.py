@@ -16,7 +16,6 @@ from balset.balancing import (
     thick_sphere_words,
 )
 from balset.constructions import (
-    CapExceededError,
     GreedyStep,
     _adjoin,
     _syndrome_checks,
@@ -34,7 +33,7 @@ from balset.constructions import (
     simplex_extended,
     verify_sum_of_squares,
 )
-from balset.gf2 import LinearCode, Word, enumerate_span
+from balset.gf2 import CapExceededError, LinearCode, Word, enumerate_span
 
 
 # -- prefix-flip sets -----------------------------------------------------------
@@ -193,8 +192,8 @@ def test_greedy_validation() -> None:
         greedy_balancing(8, BalanceSpec(10))
     with pytest.raises(ValueError):
         greedy_balancing(8, mode="eager")
-    with pytest.raises(CapExceededError):
-        greedy_balancing(26)
+    with pytest.raises(CapExceededError, match=f"work {2 * 27 << 27} exceeds WORK_CAP"):
+        greedy_balancing(28)
     with pytest.raises(ValueError):
         greedy_balancing(8, mode="sampled", batch=0)
 

@@ -23,7 +23,7 @@ from balset import (
     weight_concentration_check,
     wilson_interval,
 )
-from balset.ensemble import LEMMA1_N_CAP, _uniform_word
+from balset.ensemble import _uniform_word
 
 
 def random_code(n: int, rows: int, seed: int, trial: int = 0) -> LinearCode:
@@ -220,9 +220,9 @@ class TestLemma1Identity:
             lemma1_identity_check(LinearCode(6, ()), BalanceSpec(4, 0))
 
     def test_cap_enforced(self):
-        n = LEMMA1_N_CAP + 2
-        with pytest.raises(CapExceededError, match="LEMMA1_N_CAP"):
-            lemma1_identity_check(LinearCode(n, ()), BalanceSpec(n, 0))
+        # r = 20: 2^20 shifts of 2^14 packed words each
+        with pytest.raises(CapExceededError, match=f"work {1 << 34} exceeds WORK_CAP"):
+            lemma1_identity_check(LinearCode(20, ()), BalanceSpec(20, 0))
 
 
 class TestWeightConcentration:

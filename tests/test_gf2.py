@@ -9,9 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from balset.gf2 import (
+    BYTES_CAP,
     CapExceededError,
     LinearCode,
-    SPAN_CAP,
     Word,
     bulk_syndromes,
     distance,
@@ -156,11 +156,12 @@ def test_syndrome_zero_iff_member(n: int, data) -> None:
 
 
 def test_span_cap_enforced() -> None:
-    code = LinearCode.from_ints(31, [1 << i for i in range(31)])
-    assert code.k == 31 > SPAN_CAP
-    with pytest.raises(CapExceededError):
+    # 16 bytes for each of 2^28 words: refused before anything is built
+    code = LinearCode.from_ints(28, [1 << i for i in range(28)])
+    assert 16 << code.k > BYTES_CAP
+    with pytest.raises(CapExceededError, match=f"enumerate_span: .*{16 << 28} bytes exceed BYTES_CAP"):
         list(enumerate_span(code))
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match=f"span_array: .*{16 << 28} bytes exceed BYTES_CAP"):
         span_array(code)
 
 

@@ -422,7 +422,9 @@ class TestEveryCoset:
         g = graph(9, (1, 2, 3), (4, 5, 6), (7, 8, 9))
         hp = build_Hprime(build_H(g), 9, 3)
         start = time.perf_counter()
-        with pytest.raises(CapExceededError, match="STRUCTURAL_BYTES_CAP"):
+        # 24 column passes over one limb of 2^27 syndromes (and 40 bytes
+        # per syndrome, also over BYTES_CAP)
+        with pytest.raises(CapExceededError, match=f"structural: estimated work {24 << 27} exceeds WORK_CAP"):
             every_coset_has_balanced_word(hp, 9, 3, "structural")
         assert time.perf_counter() - start < 1.0
 
