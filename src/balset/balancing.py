@@ -18,10 +18,13 @@ every coset.  `naive`, `sphere_mark` and `syndrome` stay as independent
 oracles over words.  Each method states its work and bytes up front and
 refuses through gf2.check_budget before it allocates.
 
-Transforms longer than one FWHT_BLOCK split their work over a small thread
-pool (numpy releases the GIL in the array passes).  BALSET_THREADS is the
-library's one thread setting: unset or 0 means every core this process may
-run on, and no value starts more threads than that.
+The transform (fwht_inplace) runs each block of FWHT_BLOCK values through
+all its levels while the block and one block of scratch sit in a core's L2,
+two ufunc calls a level; the levels across blocks then run on column
+panels.  Transforms longer than one FWHT_BLOCK split their work over a
+small thread pool (numpy releases the GIL in the array passes).
+BALSET_THREADS is the library's one thread setting: unset or 0 means every
+core this process may run on, and no value starts more threads than that.
 """
 
 from __future__ import annotations
@@ -74,8 +77,10 @@ __all__ = [
 Q_METHODS = ("naive", "sphere_mark", "wht", "syndrome")
 
 WHT_LENGTH_CAP = 62      # 2^r * N_s <= 2^n stays exact in int64
-FWHT_BLOCK = 1 << 18     # transform levels below this run block by block,
-                         # and longer transforms split over threads
+FWHT_BLOCK = 1 << 17     # transform levels below this run block by block,
+                         # each block and its scratch in one core's L2; and
+                         # longer transforms split over threads
+_SMALL = 1 << 13         # blocks up to this length run in constant geometry
 
 # pi truncated to 37 decimal digits; the bracket width 1e-37 < 2^-120 gives
 # the binomial bounds comparisons well over 80 bits of precision
@@ -284,71 +289,196 @@ def _fan_out(threads: int):
 def fwht_inplace(a: np.ndarray) -> None:
     """Unnormalized in-place Walsh-Hadamard transform (XOR kernel).
 
-    The levels below FWHT_BLOCK run block by block, so each block stays in
-    cache through all of them; the higher levels then pair up half-blocks
-    across the array.  Integer arrays wrap, so the result is exact whenever
-    the true final values fit the dtype.
+    Blocks of FWHT_BLOCK values run all their levels while in cache (see
+    _fwht_block); the levels across blocks then run on column panels of the
+    blocks, one panel (one block's worth of values) at a time.  Integer
+    arrays wrap, so the result is exact whenever the true final values fit
+    the dtype.
 
     A transform longer than one block splits over
-    min(thread_setting(), size // FWHT_BLOCK) threads: the blocks of the
-    low levels, then each high level's half-block pairs, are independent.
-    Up to one block, and in a thread marked by serial_transforms, it runs
-    on the calling thread.  Either way the result is the same, bit for bit.
+    min(thread_setting(), size // FWHT_BLOCK) threads: the blocks, then the
+    panels, are independent.  Up to one block, and in a thread marked by
+    serial_transforms, it runs on the calling thread.  Either way the result
+    is the same, bit for bit.  Scratch is one block per thread.
     """
     size = a.size
-    if size & (size - 1):
+    if size < 1 or size & (size - 1):
         raise ValueError(f"length {size} is not a power of two")
-    if size <= FWHT_BLOCK:
-        _fwht_block(a, np.empty(size // 2, dtype=a.dtype))
-        return
-    threads = _transform_threads(size)
+    if a.ndim != 1 or not a.flags.c_contiguous:
+        # the kernel works through reshaped views, which would be copies
+        raise ValueError("fwht_inplace needs a contiguous 1-D array")
+    _transform(a)
+
+
+def _transform(a: np.ndarray, fill=None, finish=None) -> None:
+    """The transform of a: every block of FWHT_BLOCK values, then the
+    levels across blocks, a panel of columns at a time.
+
+    fill(view, start, spare), if given, writes the input of the block
+    a[start : start + view.size] into view, with the index bits in
+    _input_order, just before the block is transformed; spare is free
+    scratch of view.size values.  Without fill, a holds its input in natural
+    order.  finish(held, out) writes each finished piece into out, its place
+    in a, from held, which holds its values and may be out itself (default:
+    a copy).
+    """
+    size = a.size
+    scratch = np.empty(_scratch_shape(size), dtype=a.dtype)  # one row per part
+    threads, block = scratch.shape
     fan = _fan_out(threads)
-    block, half = FWHT_BLOCK, FWHT_BLOCK // 2
-    scratch = np.empty((threads, half), dtype=a.dtype)  # one row per part
+    finish = finish or _copy_back
 
-    def low_levels(i, starts) -> None:
+    def blocks(i, starts) -> None:
         for start in starts:
-            _fwht_block(a[start : start + block], scratch[i])
+            x = a[start : start + block]
+            if fill is not None:
+                fill(x, start, scratch[i])
+            _fwht_block(x, scratch[i], fill is not None)
 
-    fan(low_levels, range(0, size, block))
-    h = block
-    while h < size:
+    fan(blocks, range(0, size, block))
+    if block == size:
+        finish(a, a)
+        return
+    # a as (rows, block): the levels left butterfly the row bits, a panel of
+    # columns at a time, alternating between the panel and the scratch row
+    rows = size // block
+    width = block // rows
+    grid = a.reshape(rows, block)
 
-        def high_level(i, starts, h=h) -> None:
+    def panels(i, starts) -> None:
+        spare = scratch[i].reshape(rows, width)
+        with np.errstate():
+            np.setbufsize(_run_buffer(width))
             for c in starts:
-                _butterfly(a[c : c + half], a[c + h : c + h + half], scratch[i])
+                panel = grid[:, c : c + width]
+                finish(_row_levels(panel, spare, panel), panel)
 
-        fan(high_level, [c for lo in range(0, size, 2 * h) for c in range(lo, lo + h, half)])
-        h *= 2
+    fan(panels, range(0, block, width))
 
 
-def _fwht_block(view: np.ndarray, scratch: np.ndarray) -> None:
-    """All levels of the transform of one block, in place."""
-    block = view.size
+def _scratch_shape(size: int) -> tuple[int, int]:
+    """(threads, values) of the scratch of a transform: a block per thread."""
+    return _transform_threads(size), min(size, FWHT_BLOCK)
+
+
+def _copy_back(held: np.ndarray, out: np.ndarray) -> None:
+    if held is not out:
+        np.copyto(out, held)
+
+
+def _run_buffer(run: int) -> int:
+    """numpy's ufunc buffer size for operands made of contiguous runs of
+    `run` values.  numpy copies such operands through its buffer whenever
+    a run is shorter than the buffer (8192 values by default), which makes
+    a level up to three times slower; a buffer no longer than the run
+    avoids the copy."""
+    return max(16, min(run, 8192)) // 16 * 16
+
+
+def _block_shape(size: int) -> tuple[int, int]:
+    """(rows, cols) of a block longer than _SMALL: cols = 2^floor(bits/2)."""
+    cols = 1 << (size.bit_length() - 1) // 2
+    return size // cols, cols
+
+
+def _input_order(size: int) -> list[int]:
+    """The index bits in which _transform's fill writes the input of a
+    transform of length `size`: bit j of a position holds bit order[j] of
+    the index.  A block longer than _SMALL takes its columns' bits first,
+    which saves _fwht_block one transpose; every other bit is in place."""
+    bits = size.bit_length() - 1
+    block = min(size, FWHT_BLOCK)
+    if block <= _SMALL:
+        return list(range(bits))
+    low = _block_shape(block)[1].bit_length() - 1
+    high = block.bit_length() - 1
+    return [*range(low, high), *range(low), *range(high, bits)]
+
+
+def _fwht_block(x: np.ndarray, scratch: np.ndarray, ordered: bool) -> None:
+    """All levels of the transform of one block x, in place; scratch holds
+    at least x.size values.
+
+    Each level writes x + y and x - y into the other buffer (ping-pong), two
+    ufunc calls a level.  Up to _SMALL values every level has the same
+    geometry (see _constant_geometry).  Above that the block is laid out as
+    in Bailey's four-step method, as (rows, cols): the levels on the row
+    bits run on whole rows, a transpose makes the column bits row bits for
+    the other levels, and a second transpose restores the order.  With
+    `ordered`, x holds its input in _input_order, that is as (cols, rows)
+    already, and the first transpose is not needed.
+    """
+    size = x.size
+    scratch = scratch[:size]
+    if size <= _SMALL:
+        _constant_geometry(x, scratch)
+        return
+    rows, cols = _block_shape(size)
+    shapes = [(cols, rows), (rows, cols)] if ordered else [(rows, cols), (cols, rows)]
+    # each level and each transpose writes the other buffer, and the last
+    # write must land in x: when their count is odd, the first level after
+    # the middle transpose reads the transposed view instead of a copy
+    fuse = (size.bit_length() - 1 + ordered) % 2 == 1
+    held, spare = x, scratch
+    with np.errstate():
+        np.setbufsize(_run_buffer(cols))
+        for i, shape in enumerate(shapes):
+            src = held.reshape(shape)
+            if i:
+                src = held.reshape(shapes[0]).T
+                if not fuse:
+                    np.copyto(spare.reshape(shape), src)
+                    held, spare = spare, held
+                    src = held.reshape(shape)
+            _row_levels(src, spare.reshape(shape), held.reshape(shape))
+            if (shape[0].bit_length() - 1) % 2:  # an odd number of levels
+                held, spare = spare, held
+        if not ordered:
+            np.copyto(spare.reshape(rows, cols), held.reshape(cols, rows).T)
+
+
+def _row_levels(src: np.ndarray, dst: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Every level on the row bits of 2-D (rows, cols) arrays; returns the
+    one that holds the result.  The first level reads src and writes dst;
+    after that dst and other take turns.  src may be other, or a strided
+    view of the values in other."""
+    rows, cols = dst.shape
     h = 1
-    while h < block:
-        rows = view.reshape(-1, 2 * h)
-        if h < 8:
-            # numpy runs one long strided column much faster than many
-            # rows of 2 or 4 elements
-            for c in range(h):
-                _butterfly(rows[:, c], rows[:, c + h], scratch)
-        else:
-            _butterfly(rows[:, :h], rows[:, h:], scratch)
+    while h < rows:
+        x, y = src.reshape(-1, 2, h, cols), dst.reshape(-1, 2, h, cols)
+        np.add(x[:, 0], x[:, 1], out=y[:, 0])
+        np.subtract(x[:, 0], x[:, 1], out=y[:, 1])
+        src, dst, other = dst, other, dst
         h *= 2
+    return src
 
 
-def _butterfly(x: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> None:
-    """(x, y) <- (x + y, x - y), in place."""
-    t = scratch[: x.size].reshape(x.shape)
-    np.subtract(x, y, out=t)
-    x += y
-    y[:] = t
+def _constant_geometry(x: np.ndarray, scratch: np.ndarray) -> None:
+    """The transform of a short x in place, every level in one geometry
+    (Fino and Algazi): read adjacent pairs, write their sums to the first
+    half and their differences to the second.  Each level so moves the
+    bottom bit of the index to the top, and after log2(size) levels every
+    bit is back in place.  The views are made once, so a level costs two
+    ufunc calls and nothing else."""
+    size = x.size
+    half = size // 2
+    views = [(v[0::2], v[1::2], v[:half], v[half:]) for v in (x, scratch)]
+    held = 0
+    for _ in range(size.bit_length() - 1):
+        even, odd = views[held][:2]
+        low, high = views[1 - held][2:]
+        np.add(even, odd, out=low)
+        np.subtract(even, odd, out=high)
+        held = 1 - held
+    if held:
+        np.copyto(x, scratch)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def thick_sphere_words(n: int, lam: int) -> np.ndarray:
-    """All words with weight in [n/2 - lam, n/2 + lam], cached per (n, lam)."""
+    """All words with weight in [n/2 - lam, n/2 + lam].  The last band is
+    cached, so repeated checks of one (n, lam) build it once; one band at
+    n = 28 is 321 MB, so no more are kept."""
     lo, hi = n // 2 - lam, n // 2 + lam
     out = np.concatenate([weight_words(n, w) for w in range(lo, hi + 1)])
     out.flags.writeable = False
@@ -415,10 +545,13 @@ def _band_spectrum(n: int, lam: int) -> np.ndarray:
     return out
 
 
-def _split_span(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _split_span(
+    values: list[int], dtype: type = np.uint64, low_count: int = 16
+) -> tuple[np.ndarray, np.ndarray]:
     """(low, high) with xor_span(values) = [low ^ u for u in high], low
-    spanning at most the first 16 values, so it can be built block by block."""
-    return xor_span(values[:16]), xor_span(values[16:])
+    spanning at most the first low_count values, so it can be built block
+    by block."""
+    return xor_span(values[:low_count], dtype), xor_span(values[low_count:], dtype)
 
 
 def coset_counts(spec: BalanceSpec, rows: list[int]) -> np.ndarray:
@@ -432,36 +565,45 @@ def coset_counts(spec: BalanceSpec, rows: list[int]) -> np.ndarray:
     2^r.  Wrapping arithmetic is exact because 0 <= 2^r N_s <= 2^n, so the
     transform runs in int32 for n <= 30 and in int64 above.
 
-    Past one FWHT_BLOCK the work splits over the transform's threads (see
-    fwht_inplace).  The dual words are weighed, and the result finished
-    (the divisibility check, then the shift by r), one row of the split
-    span (at most 2^16 values) at a time, so no full-length temporary is
-    made.  The budget is r levels over 2^r values, held in that dtype.
+    The transform runs as fwht_inplace does, and on its threads, with two
+    steps folded in so that the array streams through memory only twice:
+    each block is weighed while it is in cache (the rows taken in the block
+    kernel's _input_order), and each finished piece is checked and shifted
+    by r on its way out.  A value that 2^r does not divide means the
+    transform is wrong, and raises RuntimeError.  The budget is r levels over 2^r values,
+    plus one block of scratch per thread, held in that dtype.
     """
     n, r = spec.n, len(rows)
     if n > WHT_LENGTH_CAP:
         raise CapExceededError(f"wht capped at n <= {WHT_LENGTH_CAP}, got {n}")
-    itemsize = 4 if n <= 30 else 8
-    check_budget("coset_counts", r << r, itemsize << r)
-    spectrum = _band_spectrum(n, spec.lam).astype(np.int32 if n <= 30 else np.int64)
-    low, high = _split_span(rows)
-    v = np.empty(1 << r, dtype=spectrum.dtype)
-    fan = _fan_out(_transform_threads(v.size))
-    weighed = v.reshape(-1, low.size)  # one row per word of the high span
+    dtype, words = (np.int32, np.uint32) if n <= 30 else (np.int64, np.uint64)
+    size = 1 << r
+    values = size + math.prod(_scratch_shape(size))
+    check_budget("coset_counts", r << r, np.dtype(dtype).itemsize * values)
+    spectrum = _band_spectrum(n, spec.lam).astype(dtype)
+    block = min(size, FWHT_BLOCK)
+    # one word of the high span per block
+    low, high = _split_span(
+        [rows[j] for j in _input_order(size)], words, block.bit_length() - 1
+    )
+    mask = size - 1
 
-    def weigh(i, part) -> None:
-        for j in part:
-            np.take(spectrum, np.bitwise_count(low ^ high[j]), out=weighed[j])
+    def weigh(view, start, spare) -> None:
+        dual = view.view(words)  # the dual words, then their values
+        weights = spare.view(np.uint8)[: view.size]
+        np.bitwise_xor(low, high[start // block], out=dual)
+        np.bitwise_count(dual, out=weights)
+        # every weight is in [0, n]; "wrap" skips the copy of out that the
+        # default mode makes
+        np.take(spectrum, weights, out=view, mode="wrap")
 
-    def finish(i, part) -> None:
-        for row in weighed[part.start : part.stop]:
-            if __debug__:
-                assert not (row & ((1 << r) - 1)).any(), "transform not divisible"
-            row >>= r
+    def finish(held, out) -> None:
+        if np.bitwise_or.reduce(held, axis=None) & mask:
+            raise RuntimeError(f"coset_counts: a transformed value is not divisible by 2^{r}")
+        np.right_shift(held, r, out=out)
 
-    fan(weigh, range(high.size))
-    fwht_inplace(v)
-    fan(finish, range(high.size))
+    v = np.empty(size, dtype=dtype)
+    _transform(v, weigh, finish)
     return v
 
 
@@ -471,7 +613,7 @@ def _dual_rows(code: LinearCode) -> list[int]:
 
 def _q_wht(code: LinearCode, spec: BalanceSpec) -> int:
     counts = coset_counts(spec, _dual_rows(code))
-    return int(np.count_nonzero(counts == 0)) << code.k
+    return (counts.size - int(np.count_nonzero(counts))) << code.k
 
 
 def _q_syndrome(code: LinearCode, spec: BalanceSpec) -> int:

@@ -21,7 +21,7 @@ from .gf2 import (
     load_generator_matrix,
     save_generator_matrix,
 )
-from .balancing import BalanceSpec, Q_METHODS, q_exact, thread_setting
+from .balancing import FWHT_BLOCK, BalanceSpec, Q_METHODS, q_exact, thread_setting
 from .constructions import figure1_fixture, greedy_balancing, min_distance
 from .ensemble import (
     EnsembleConfig,
@@ -155,6 +155,15 @@ def _parse_rows_range(text: str) -> list[int]:
     return [int(text)]
 
 
+def _trial_threads(config: EnsembleConfig, threads: int) -> int:
+    """Size of the trial pool: one thread when a full-rank trial's transform
+    (2^(n - k) values) fits in one FWHT_BLOCK.  Such a trial is a chain of
+    short numpy calls, and trials on two threads mostly wait on each other
+    for the interpreter lock.  A longer transform gets the threads."""
+    k = config.rows + (config.fixed_prefix.k if config.fixed_prefix else 0)
+    return threads if 1 << max(config.n - k, 0) > FWHT_BLOCK else 1
+
+
 def cmd_ensemble(args: argparse.Namespace) -> int:
     prefix = load_generator_matrix(args.prefix) if args.prefix else None
     rows_list = _parse_rows_range(args.rows)
@@ -164,7 +173,7 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
         config = EnsembleConfig(
             args.n, rows, args.lam, args.trials, args.seed, prefix
         )
-        reports.append(estimate_balancing_probability(config, threads))
+        reports.append(estimate_balancing_probability(config, _trial_threads(config, threads)))
     if len(reports) == 1:
         _emit(reports[0].to_json_dict())
     else:

@@ -202,8 +202,8 @@ def _autocorrelation(empty: np.ndarray) -> np.ndarray:
     fwht_inplace(v)
     v = np.multiply(v, v, dtype=np.int64)
     fwht_inplace(v)
-    if __debug__:
-        assert not (v & ((1 << r) - 1)).any(), "autocorrelation not divisible"
+    if np.bitwise_or.reduce(v) & ((1 << r) - 1):
+        raise RuntimeError(f"autocorrelation: a value is not divisible by 2^{r}")
     v >>= r
     return v
 

@@ -4,7 +4,10 @@ import math
 import multiprocessing
 import os
 import random
+import subprocess
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,7 +16,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from balset import balancing, constructions
 from balset.balancing import (
+    FWHT_BLOCK,
     BalanceSpec,
     CapExceededError,
     Q_METHODS,
@@ -144,6 +149,133 @@ def test_fwht_blocked_levels_match_halves() -> None:
     assert np.array_equal(a, np.concatenate([lo + hi, lo - hi]))
 
 
+def sylvester(size: int) -> np.ndarray:
+    """The Sylvester-Hadamard matrix: entry (i, j) is (-1)^popcount(i & j)."""
+    i = np.arange(size)
+    return 1 - 2 * (np.bitwise_count(i[:, None] & i) & 1).astype(np.int64)
+
+
+FWHT_SIZES = range(22)  # 2^0 .. 2^21
+
+
+def test_fwht_sizes_cover_every_layout() -> None:
+    # the constant-geometry cutoff, a block, and one and two blocks past it
+    sizes = {1 << b for b in FWHT_SIZES}
+    assert {balancing._SMALL, FWHT_BLOCK // 2, FWHT_BLOCK, 2 * FWHT_BLOCK} <= sizes
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("bits", FWHT_SIZES)
+def test_fwht_matches_definition(fan_widths, monkeypatch, bits, dtype) -> None:
+    """Up to 2^10 against the Sylvester matrix product; above that against
+    [T(lo) + T(hi), T(lo) - T(hi)] of the transformed halves, which the
+    smaller sizes have checked.  int32 values take the full range, so every
+    butterfly wraps; BALSET_THREADS = 1 and 2 agree bit for bit."""
+    size = 1 << bits
+    rng = np.random.default_rng(bits)
+    if dtype is np.int32:
+        a = rng.integers(-(1 << 31), 1 << 31, size, dtype=np.int32)
+    else:
+        # the matrix product stays inside int64; the halves run full range
+        span = 1 << 52 if bits <= 10 else 1 << 63
+        a = rng.integers(-span, span, size, dtype=np.int64)
+
+    def transformed(v: np.ndarray) -> np.ndarray:
+        v = v.copy()
+        fwht_inplace(v)
+        return v
+
+    serial, threaded = transform_by_threads(monkeypatch, transformed, a)
+    assert np.array_equal(serial, threaded)
+    if bits <= 10:
+        expected = (sylvester(size) @ a.astype(np.int64)).astype(dtype)
+    else:
+        lo, hi = transformed(a[: size // 2]), transformed(a[size // 2 :])
+        expected = np.concatenate([lo + hi, lo - hi])
+    assert np.array_equal(serial, expected)
+
+
+def test_fwht_scratch_is_one_block_per_thread(fan_widths, monkeypatch) -> None:
+    # a second buffer of the array's length would be 8 MiB here
+    monkeypatch.setenv("BALSET_THREADS", "2")
+    a = np.ones(1 << 21, dtype=np.int32)
+    fwht_inplace(a)  # the pool's threads start on first use
+    scratch = 2 * FWHT_BLOCK * a.itemsize
+    tracemalloc.start()
+    try:
+        fwht_inplace(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fan_widths == [2, 2]
+    assert scratch <= peak <= scratch + (64 << 10)
+
+
+def test_coset_counts_refuses_a_broken_transform(monkeypatch) -> None:
+    # 2^r divides every transformed value, or the transform is wrong; the
+    # check raises, so python -O keeps it (test_..._under_optimize)
+    rows = [w.bits for w in seeded_code(16, 6, 16).dual_basis()]
+    assert coset_counts(BalanceSpec(16), rows).sum() == math.comb(16, 8)
+    block = balancing._fwht_block
+
+    def skip_top_level(x, scratch, ordered) -> None:
+        block(x[: x.size // 2], scratch, ordered)
+        block(x[x.size // 2 :], scratch, ordered)
+
+    monkeypatch.setattr(balancing, "_fwht_block", skip_top_level)
+    with pytest.raises(RuntimeError, match=r"not divisible by 2\^10"):
+        coset_counts(BalanceSpec(16), rows)
+
+
+def test_autocorrelation_refuses_a_broken_transform(monkeypatch) -> None:
+    # the first of its two transforms gets one value wrong by 1
+    calls = []
+
+    def first_off_by_one(v: np.ndarray) -> None:
+        fwht_inplace(v)
+        v[1] += not calls
+        calls.append(v.size)
+
+    monkeypatch.setattr(constructions, "fwht_inplace", first_off_by_one)
+    empty = np.random.default_rng(10).random(1 << 10) < 0.3
+    with pytest.raises(RuntimeError, match=r"not divisible by 2\^10"):
+        constructions._autocorrelation(empty)
+    assert calls == [1 << 10, 1 << 10]
+
+
+def test_fwht_refuses_arrays_it_would_copy() -> None:
+    for size in (0, 12):
+        with pytest.raises(ValueError, match="power of two"):
+            fwht_inplace(np.zeros(size, dtype=np.int64))
+    for a in (np.zeros(16, dtype=np.int64)[::2], np.zeros((4, 4), dtype=np.int64)):
+        with pytest.raises(ValueError, match="contiguous 1-D"):
+            fwht_inplace(a)
+
+
+def test_broken_transform_raises_under_optimize() -> None:
+    rows = [w.bits for w in seeded_code(16, 6, 16).dual_basis()]
+    script = f"""
+from balset import balancing
+assert not __debug__
+block = balancing._fwht_block
+def skip_top_level(x, scratch, ordered):
+    block(x[: x.size // 2], scratch, ordered)
+    block(x[x.size // 2 :], scratch, ordered)
+balancing._fwht_block = skip_top_level
+try:
+    balancing.coset_counts(balancing.BalanceSpec(16), {rows!r})
+except RuntimeError as exc:
+    print(exc)
+"""
+    src = os.path.dirname(os.path.dirname(balancing.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert "not divisible by 2^10" in out.stdout
+
+
 def test_parse_threads_clamps_to_cores() -> None:
     # unset or 0 means every core, and no value asks for more threads than
     # cores; parsing alone starts no thread
@@ -211,7 +343,7 @@ def test_coset_counts_threads_bit_identical_n28(fan_widths, monkeypatch, lam) ->
     rows = [h.bits for h in figure1_fixture(28).code.dual_basis()]
     assert len(rows) == 22
     serial, threaded = transform_by_threads(monkeypatch, coset_counts, BalanceSpec(28, lam), rows)
-    assert fan_widths == [1, 1, 2, 2]
+    assert fan_widths == [1, 2]
     assert np.array_equal(serial, threaded)
     assert serial.sum() == sum(math.comb(28, w) for w in range(14 - lam, 15 + lam))
 
@@ -224,6 +356,15 @@ def test_coset_counts_threads_bit_identical_int64(fan_widths, monkeypatch) -> No
     serial, threaded = transform_by_threads(monkeypatch, coset_counts, BalanceSpec(34, 1), rows)
     assert serial.dtype == np.int64 and 2 in fan_widths
     assert np.array_equal(serial, threaded)
+
+
+def test_thick_sphere_words_keeps_one_band() -> None:
+    # bands are large (321 MB at n = 28) and outside BYTES_CAP, so the cache
+    # holds only the last one
+    code = seeded_code(12, 3, 12)
+    for lam in range(4):
+        q_exact(code, BalanceSpec(12, lam), "sphere_mark")
+        assert thick_sphere_words.cache_info().currsize <= 1
 
 
 def test_thick_sphere_words_cached_readonly() -> None:

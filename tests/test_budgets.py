@@ -122,6 +122,32 @@ def test_boundary_estimates(verdict, case) -> None:
     assert not verdict(what, outside)
 
 
+# (n, r, BALSET_THREADS, bytes coset_counts states): the array plus one
+# block of scratch per thread of its transform, in the transform's dtype
+COSET_BYTES = [
+    (16, 12, "2", 4 * ((1 << 12) + (1 << 12))),
+    (28, 22, "1", 4 * ((1 << 22) + balancing.FWHT_BLOCK)),
+    (28, 22, "2", 4 * ((1 << 22) + 2 * balancing.FWHT_BLOCK)),
+    (62, 26, "2", 8 * ((1 << 26) + 2 * balancing.FWHT_BLOCK)),
+]
+
+
+@pytest.mark.parametrize("n, r, threads, nbytes", COSET_BYTES)
+def test_coset_counts_bytes_count_the_scratch(monkeypatch, n, r, threads, nbytes) -> None:
+    monkeypatch.setattr(balancing, "_cores", lambda: 2)
+    monkeypatch.setenv("BALSET_THREADS", threads)
+    seen: list[int] = []
+
+    def record(what: str, work: int = 0, nbytes: int = 0) -> None:
+        seen.append(nbytes)
+        raise _Stop
+
+    monkeypatch.setattr(balancing, "check_budget", record)
+    with pytest.raises(_Stop):
+        coset_counts(BalanceSpec(n), [1] * r)
+    assert seen == [nbytes]
+
+
 def test_check_budget_names_budget_and_estimate() -> None:
     check_budget("x", WORK_CAP, BYTES_CAP)
     with pytest.raises(CapExceededError, match=f"x: estimated work {WORK_CAP + 1} exceeds WORK_CAP"):

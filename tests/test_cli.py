@@ -201,6 +201,28 @@ class TestEnsemble:
         monkeypatch.setenv("BALSET_THREADS", "0")
         assert run(*args)[1] == base
 
+    def test_trial_pool_sized_by_transform(self, run, monkeypatch):
+        # trials whose transform fits in one FWHT_BLOCK (2^17) run on one
+        # thread, longer ones on the thread setting; stdout is the same
+        from balset import balancing, cli
+
+        pools = []
+        estimate = cli.estimate_balancing_probability
+
+        def spy(config, threads=1):
+            pools.append((config.rows, threads))
+            return estimate(config, threads)
+
+        monkeypatch.setattr(cli, "estimate_balancing_probability", spy)
+        monkeypatch.setattr(balancing, "_cores", lambda: 2)
+        args = ("ensemble", "--n", 20, "--rows", "1..3", "--trials", 2, "--seed", 1)
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("BALSET_THREADS", threads)
+            outputs.append(run(*args)[1])
+        assert outputs[0] == outputs[1]
+        assert pools == [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 1)]
+
     def test_bad_thread_env_is_usage_error(self, run, monkeypatch):
         monkeypatch.setenv("BALSET_THREADS", "many")
         code, _, err = run("ensemble", "--n", 8, "--rows", 1)
