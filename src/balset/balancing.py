@@ -526,9 +526,10 @@ def _q_sphere_mark(code: LinearCode, spec: BalanceSpec) -> int:
 
 
 @lru_cache(maxsize=64)
-def _band_spectrum(n: int, lam: int) -> np.ndarray:
+def _band_spectrum(n: int, lam: int, dtype: type) -> np.ndarray:
     """T[j] = sum over the band's weights w of the Krawtchouk value K_w(j),
-    i.e. the sum of (-1)^<u, z> over all band words z, for any u of weight j."""
+    i.e. the sum of (-1)^<u, z> over all band words z, for any u of weight j;
+    held in dtype, which wraps."""
     lo, hi = n // 2 - lam, n // 2 + lam
     out = np.array(
         [
@@ -540,7 +541,7 @@ def _band_spectrum(n: int, lam: int) -> np.ndarray:
             for j in range(n + 1)
         ],
         dtype=np.int64,
-    )
+    ).astype(dtype)
     out.flags.writeable = False
     return out
 
@@ -554,7 +555,9 @@ def _split_span(
     return xor_span(values[:low_count], dtype), xor_span(values[low_count:], dtype)
 
 
-def coset_counts(spec: BalanceSpec, rows: list[int]) -> np.ndarray:
+def coset_counts(
+    spec: BalanceSpec, rows: list[int] | tuple[int, ...]
+) -> np.ndarray:
     """Number N_s of band words z with syndrome s, for every s in F_2^r.
 
     Bit j of s is the parity of z against rows[j]; the r rows may be
@@ -580,7 +583,7 @@ def coset_counts(spec: BalanceSpec, rows: list[int]) -> np.ndarray:
     size = 1 << r
     values = size + math.prod(_scratch_shape(size))
     check_budget("coset_counts", r << r, np.dtype(dtype).itemsize * values)
-    spectrum = _band_spectrum(n, spec.lam).astype(dtype)
+    spectrum = _band_spectrum(n, spec.lam, dtype)
     block = min(size, FWHT_BLOCK)
     # one word of the high span per block
     low, high = _split_span(
@@ -607,12 +610,8 @@ def coset_counts(spec: BalanceSpec, rows: list[int]) -> np.ndarray:
     return v
 
 
-def _dual_rows(code: LinearCode) -> list[int]:
-    return [h.bits for h in code.dual_basis()]
-
-
 def _q_wht(code: LinearCode, spec: BalanceSpec) -> int:
-    counts = coset_counts(spec, _dual_rows(code))
+    counts = coset_counts(spec, code.dual_rows)
     return (counts.size - int(np.count_nonzero(counts))) << code.k
 
 
@@ -682,7 +681,7 @@ def uncovered_mask(code: LinearCode, spec: BalanceSpec) -> np.ndarray:
     n = spec.n
     # the 2^n booleans, in pieces and then joined
     check_budget("uncovered_mask", nbytes=2 << n)
-    duals = _dual_rows(code)
+    duals = code.dual_rows
     empty = coset_counts(spec, duals) == 0
     # the syndrome of coordinate c has bit j set where dual row j has c
     cols = [sum((h >> c & 1) << j for j, h in enumerate(duals)) for c in range(n)]
@@ -723,7 +722,7 @@ def coverage_profile(code: LinearCode, spec: BalanceSpec) -> CoverageProfile:
     """hist[j] = number of words with exactly j codewords at covering
     distance; each of the 2^k words of a coset has its coset's count."""
     _validate(code, spec)
-    counts = coset_counts(spec, _dual_rows(code))
+    counts = coset_counts(spec, code.dual_rows)
     hist = np.bincount(counts) << code.k
     return CoverageProfile(spec.n, code.k, spec.lam, tuple(int(h) for h in hist))
 

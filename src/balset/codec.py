@@ -92,8 +92,7 @@ def _build_syndrome_table(code: LinearCode, radius: int) -> SyndromeTable:
             new = ~filled[uniq]
             leaders[uniq[new]] = chunk[first[new]]
             filled[uniq[new]] = True
-    duals = tuple(h.bits for h in code.dual_basis())
-    return SyndromeTable(code, radius, duals, leaders, filled)
+    return SyndromeTable(code, radius, code.dual_rows, leaders, filled)
 
 
 @dataclass(frozen=True)

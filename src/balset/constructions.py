@@ -234,6 +234,22 @@ def _adjoin(basis: list[int], x: int) -> tuple[list[int], int]:
     return [b ^ x if b >> top & 1 else b for b in basis] + [x], x
 
 
+def _fold(empty: np.ndarray, s: int) -> np.ndarray:
+    """empty[i] & empty[i ^ s] for every i with bit p of i clear, p the top
+    bit of s: the cosets whose minimum has that bit clear and that stay
+    empty.  The partner of such an i lies in the half with bit p set, at
+    the low bits of i XOR those of s.  With one axis per low bit, that XOR
+    reverses the axes of the bits set in s, so the partners are one np.flip
+    view of that half (numpy merges adjacent axes back into long runs)."""
+    p = s.bit_length() - 1
+    shape = (-1,) + (2,) * p  # axis 1 + j holds bit p - 1 - j
+    halves = empty.reshape(-1, 2, 1 << p)
+    partner = np.flip(
+        halves[:, 1, :].reshape(shape), [p - t for t in range(p) if s >> t & 1]
+    )
+    return np.logical_and(halves[:, 0, :].reshape(shape), partner).ravel()
+
+
 def greedy_balancing(
     n: int,
     spec: BalanceSpec | None = None,
@@ -331,10 +347,7 @@ def greedy_balancing(
             empty = coset_counts(spec, _syndrome_checks(n, basis)) == 0
         else:
             s = sum(1 << j for j, h in enumerate(checks) if rep & h & -h)
-            empty &= empty[np.arange(empty.size) ^ s]
-            # keep the cosets whose minimum has rep's top bit clear
-            p = s.bit_length() - 1
-            empty = empty.reshape(-1, 2, 1 << p)[:, 0, :].ravel()
+            empty = _fold(empty, s)
         unc = int(np.count_nonzero(empty)) << len(basis)
         assert unc == new_unc
         rows.append(Word(n, x))

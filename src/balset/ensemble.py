@@ -105,8 +105,27 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[master_seed, trial]))
 
 
+def _uniform_words(n: int, count: int, rng: np.random.Generator) -> list[int]:
+    """`count` words iid uniform over F_2^n, drawn as one block of uint32.
+
+    Row i is the little-endian value of its ceil(nbytes / 4) draws, nbytes
+    = ceil(n / 8), masked to n bits.  Generator.bytes(nbytes) draws that
+    many uint32 and keeps their first nbytes little-endian bytes, and philox
+    hands out its uint32 halves in order across calls, so the rows and the
+    stream position after them are those of one bytes call per row.
+    """
+    draws = -(-((n + 7) // 8) // 4)  # uint32 draws a row
+    raw = rng.integers(0, 1 << 32, size=count * draws, dtype=np.uint32)
+    raw = raw.astype("<u4", copy=False).tobytes()
+    step, mask = 4 * draws, (1 << n) - 1
+    return [
+        int.from_bytes(raw[i * step : (i + 1) * step], "little") & mask
+        for i in range(count)
+    ]
+
+
 def _uniform_word(n: int, rng: np.random.Generator) -> int:
-    return int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
+    return _uniform_words(n, 1, rng)[0]
 
 
 def sample_random_subspace(
@@ -121,7 +140,7 @@ def sample_random_subspace(
     if rows < 0:
         raise ValueError(f"rows must be >= 0, got {rows}")
     prefix = fixed_prefix.basis if fixed_prefix is not None else ()
-    sampled = tuple(Word(n, _uniform_word(n, rng)) for _ in range(rows))
+    sampled = tuple(Word(n, w) for w in _uniform_words(n, rows, rng))
     return LinearCode(n, prefix + sampled)
 
 
@@ -177,7 +196,7 @@ def lemma1_identity_check(
         raise ValueError(f"code length {code.n} != spec length {spec.n}")
     r = n - code.k
     check_budget("lemma1_identity_check", (1 << r) * -(-(1 << r) // 64))
-    empty = coset_counts(spec, [h.bits for h in code.dual_basis()]) == 0
+    empty = coset_counts(spec, code.dual_rows) == 0
     unc = int(np.count_nonzero(empty)) << code.k
     rhs = Fraction(unc, 1 << n) ** 2
     if unc == 0:

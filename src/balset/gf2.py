@@ -149,24 +149,32 @@ def row_reduce(rows: Iterable[Word]) -> tuple[tuple[Word, ...], int]:
 
 
 def _reduce_ints(rows: Iterable[int]) -> tuple[list[int], list[int]]:
-    """RREF on integer-packed rows; returns (basis, pivots), both ascending."""
-    basis: list[int] = []
-    pivots: list[int] = []
+    """RREF on integer-packed rows; returns (basis, pivots), both ascending.
+
+    The basis is held as a dict from pivot bit to row, plus the OR of the
+    pivot bits.  Each pivot is set in its own row only, so an incoming row
+    is reduced by exactly the pivots it carries (row & pivmask, lowest
+    first), and no other basis row is looked at.
+    """
+    rowof: dict[int, int] = {}
+    pivmask = 0
     for row in rows:
-        for p, b in zip(pivots, basis):
-            if (row >> p) & 1:
-                row ^= b
+        hit = row & pivmask
+        while hit:
+            low = hit & -hit
+            row ^= rowof[low]
+            hit ^= low
         if row == 0:
             continue
-        p = (row & -row).bit_length() - 1
-        pos = next((i for i, q in enumerate(pivots) if q > p), len(pivots))
+        low = row & -row
         # clear the new pivot coordinate from the rows already in the basis
-        for i, b in enumerate(basis):
-            if (b >> p) & 1:
-                basis[i] = b ^ row
-        basis.insert(pos, row)
-        pivots.insert(pos, p)
-    return basis, pivots
+        for bit, b in rowof.items():
+            if b & low:
+                rowof[bit] = b ^ row
+        rowof[low] = row
+        pivmask |= low
+    order = sorted(rowof)
+    return [rowof[bit] for bit in order], [bit.bit_length() - 1 for bit in order]
 
 
 @dataclass(frozen=True)
@@ -232,29 +240,37 @@ class LinearCode:
             raise ValueError(f"length mismatch: {x.n} != {self.n}")
         return LinearCode(self.n, self.rows + (x,))
 
-    def dual_basis(self) -> tuple[Word, ...]:
-        """A basis of the dual code (words orthogonal to every codeword).
+    @cached_property
+    def dual_rows(self) -> tuple[int, ...]:
+        """A basis of the dual code (words orthogonal to every codeword),
+        as integers.
 
-        One dual row per non-pivot coordinate f: bit f set, plus, for every
-        basis row carrying a 1 at f, a 1 at that row's pivot coordinate.
+        One dual row per non-pivot coordinate f, ascending: bit f set, plus
+        the pivot of every basis row that carries a 1 at f.  Built by
+        walking each basis row's set non-pivot bits once.
         """
         basis, pivots = self._reduced
-        pivot_set = set(pivots)
-        out = []
-        for f in range(self.n):
-            if f in pivot_set:
-                continue
-            h = 1 << f
-            for p, b in zip(pivots, basis):
-                if (b >> f) & 1:
-                    h |= 1 << p
-            out.append(Word(self.n, h))
-        return tuple(out)
+        carried = [0] * self.n  # carried[f]: the pivots of the rows with f
+        for p, b in zip(pivots, basis):
+            rest = b ^ (1 << p)
+            while rest:
+                low = rest & -rest
+                carried[low.bit_length() - 1] |= 1 << p
+                rest ^= low
+        taken = sum(1 << p for p in pivots)
+        return tuple(
+            carried[f] | 1 << f for f in range(self.n) if not taken >> f & 1
+        )
+
+    def dual_basis(self) -> tuple[Word, ...]:
+        """dual_rows as words."""
+        return tuple(Word(self.n, h) for h in self.dual_rows)
 
 
 def _check_span(what: str, k: int) -> None:
-    """The check span_array and enumerate_span share: 2^k words, held as
-    16 bytes each while the last doubling of xor_span runs."""
+    """The check span_array and enumerate_span share: 2^k words, budgeted
+    at 16 bytes each, the span and one word array of its length derived
+    from it."""
     check_budget(what, 1 << k, 16 << k)
 
 
@@ -276,12 +292,15 @@ def enumerate_span(code: LinearCode) -> Iterator[Word]:
 
 def xor_span(values: list[int], dtype: type = np.uint64) -> np.ndarray:
     """XOR of every subset of values, indexed by the subset's bit mask;
-    every value must fit the unsigned dtype."""
-    width = max((v.bit_length() for v in values), default=0)
-    check_packed("xor_span", width, np.iinfo(dtype).bits)
-    out = np.zeros(1, dtype=dtype)
-    for v in values:
-        out = np.concatenate([out, out ^ dtype(v)])
+    every value must fit the unsigned dtype.  The 2^len(values) results are
+    allocated once, and the i-th doubling XORs the first 2^i of them with
+    values[i] into the next 2^i."""
+    width = max(values, default=0).bit_length()
+    check_packed("xor_span", width, 8 * np.dtype(dtype).itemsize)
+    out = np.empty(1 << len(values), dtype=dtype)
+    out[0] = 0
+    for i, v in enumerate(values):
+        np.bitwise_xor(out[: 1 << i], dtype(v), out=out[1 << i : 2 << i])
     return out
 
 
@@ -296,8 +315,7 @@ def syndrome_bits(code: LinearCode, bits: int) -> int:
     """Syndrome of a word w.r.t. the code's dual basis: bit j is the parity
     of the overlap with dual row j; zero exactly on codewords."""
     return sum(
-        ((h.bits & bits).bit_count() & 1) << j
-        for j, h in enumerate(code.dual_basis())
+        ((h & bits).bit_count() & 1) << j for j, h in enumerate(code.dual_rows)
     )
 
 
@@ -323,7 +341,7 @@ def parity_limb_tables(rows: Iterable[int], n: int) -> list[np.ndarray]:
 def syndrome_tables(code: LinearCode) -> tuple[list[np.ndarray], int]:
     """parity_limb_tables against the code's dual basis, plus the syndrome
     width r = n - k."""
-    duals = [h.bits for h in code.dual_basis()]
+    duals = code.dual_rows
     return parity_limb_tables(duals, code.n), len(duals)
 
 

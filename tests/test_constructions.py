@@ -18,6 +18,7 @@ from balset.balancing import (
 from balset.constructions import (
     GreedyStep,
     _adjoin,
+    _fold,
     _syndrome_checks,
     DimensionBounds,
     binary_entropy,
@@ -196,6 +197,17 @@ def test_greedy_validation() -> None:
         greedy_balancing(28)
     with pytest.raises(ValueError):
         greedy_balancing(8, mode="sampled", batch=0)
+
+
+@pytest.mark.parametrize("r", range(1, 12))
+def test_fold_matches_index_array_definition(r: int) -> None:
+    rng = np.random.default_rng(r)
+    empty = rng.random(1 << r) < 0.5
+    index = np.arange(empty.size)
+    for s in range(1, 1 << r):
+        p = s.bit_length() - 1
+        want = (empty & empty[index ^ s]).reshape(-1, 2, 1 << p)[:, 0, :].ravel()
+        assert np.array_equal(_fold(empty, s), want), s
 
 
 # the greedy builder as it ran over all 2^n words: the uncovered mask, an

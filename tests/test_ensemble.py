@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -23,6 +24,7 @@ from balset import (
     weight_concentration_check,
     wilson_interval,
 )
+from balset.cli import main
 from balset.ensemble import _uniform_word
 
 
@@ -65,6 +67,85 @@ class TestTrialStreams:
         rng = trial_rng(1, 0)
         for _ in range(50):
             assert 0 <= _uniform_word(11, rng) < 1 << 11
+
+
+def per_row_words(n: int, rows: int, rng) -> list[int]:
+    """The sampler as one Generator.bytes call per row, which the block
+    draw of sample_random_subspace must reproduce."""
+    nbytes = (n + 7) // 8
+    return [
+        int.from_bytes(rng.bytes(nbytes), "little") & ((1 << n) - 1)
+        for _ in range(rows)
+    ]
+
+
+def next_draws(rng) -> tuple:
+    """The next uint32 draws (which read philox's buffered half word) and
+    the next uint64 draw: equal draws pin the stream position."""
+    return (
+        tuple(rng.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist()),
+        int(rng.integers(0, 1 << 64, dtype=np.uint64)),
+    )
+
+
+class TestBlockDraw:
+    @pytest.mark.parametrize("n", [*range(1, 71), 100, 128])
+    def test_rows_and_stream_match_per_row_bytes(self, n):
+        prefix = LinearCode.from_ints(n, [1, (1 << n) - 1, 1])
+        for key in ((0, 0), (3, 11), ((1 << 62) + 5, 1 << 40)):
+            for rows in range(18):
+                for fixed in (None, prefix):
+                    ref, rng = trial_rng(*key), trial_rng(*key)
+                    want = per_row_words(n, rows, ref)
+                    code = sample_random_subspace(n, rows, rng, fixed_prefix=fixed)
+                    head = fixed.basis if fixed is not None else ()
+                    assert code.rows[: len(head)] == head
+                    assert [w.bits for w in code.rows[len(head) :]] == want
+                    assert next_draws(rng) == next_draws(ref), (key, rows)
+
+    def test_uniform_word_is_one_row(self):
+        for n in (1, 11, 32, 33, 64, 100):
+            ref, rng = trial_rng(4, n), trial_rng(4, n)
+            for _ in range(5):
+                assert _uniform_word(n, rng) == per_row_words(n, 1, ref)[0]
+            assert next_draws(rng) == next_draws(ref)
+
+
+# stdout of the two commands as the per-row sampler printed it
+ENSEMBLE_N16_SEED1 = "".join(
+    line + "\r\n"  # the csv module's line ends
+    for line in [
+        "rows,fraction,ci_lo,ci_hi",
+        "4,0.0,0.0,0.07134759913335872",
+        "5,0.92,0.8116175308165717,0.968450485911407",
+        "6,0.98,0.8950455641036219,0.9964607407283539",
+        *(f"{rows},1.0,0.9286524008666414,1.0" for rows in range(7, 17)),
+    ]
+)
+LEMMA1_N14_SEED1 = (
+    '{"all_equal": true, "cases": ['
+    + ", ".join(
+        f'{{"equal": true, "k": 3, "lambda": 0, "lhs_den": {den}, "lhs_num": {num}, '
+        f'"n": 14, "rhs_den": {den}, "rhs_num": {num}}}'
+        for num, den in (
+            (67081, 262144), (1849, 262144), (6889, 1048576), (1089, 65536), (5329, 262144),
+        )
+    )
+    + "]}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        ("ensemble --n 16 --rows 4..16 --trials 50 --seed 1", ENSEMBLE_N16_SEED1),
+        ("lemma1 --n 14 --rows 3 --random 5 --seed 1", LEMMA1_N14_SEED1),
+    ],
+    ids=["ensemble", "lemma1"],
+)
+def test_cli_stdout_pinned(argv, want, capsys):
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out == want
 
 
 class TestSampleRandomSubspace:

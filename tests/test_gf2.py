@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from itertools import combinations
 
 import numpy as np
@@ -26,6 +27,7 @@ from balset.gf2 import (
     syndrome_tables,
     weight_words,
     weight_words_chunks,
+    xor_span,
 )
 
 
@@ -147,6 +149,77 @@ def test_dual_basis_orthogonal(n: int, data) -> None:
     assert dual_rank == n - code.k
 
 
+def reduce_by_scan(rows: list[int]) -> tuple[list[int], list[int]]:
+    """RREF that scans the whole basis for every row and every new pivot,
+    the reference for the pivot-mask reduction."""
+    basis: list[int] = []
+    pivots: list[int] = []
+    for row in rows:
+        for p, b in zip(pivots, basis):
+            if (row >> p) & 1:
+                row ^= b
+        if row == 0:
+            continue
+        p = (row & -row).bit_length() - 1
+        pos = next((i for i, q in enumerate(pivots) if q > p), len(pivots))
+        for i, b in enumerate(basis):
+            if (b >> p) & 1:
+                basis[i] = b ^ row
+        basis.insert(pos, row)
+        pivots.insert(pos, p)
+    return basis, pivots
+
+
+def dual_by_scan(n: int, basis: list[int], pivots: list[int]) -> list[int]:
+    """Dual rows found by testing every coordinate against every pivot row,
+    the reference for dual_rows."""
+    out = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        h = 1 << f
+        for p, b in zip(pivots, basis):
+            if (b >> f) & 1:
+                h |= 1 << p
+        out.append(h)
+    return out
+
+
+def messy_rows(gen: random.Random, n: int) -> list[int]:
+    """Random rows of length n with zero, repeated and dependent rows mixed
+    in."""
+    rows: list[int] = []
+    for _ in range(gen.randrange(0, min(n, 24) + 4)):
+        kind = gen.randrange(6)
+        if kind == 0 or not rows:
+            rows.append(gen.getrandbits(n) if kind else 0)
+        elif kind == 1:
+            rows.append(gen.choice(rows))
+        elif kind == 2:
+            rows.append(gen.choice(rows) ^ gen.choice(rows))
+        else:
+            rows.append(gen.getrandbits(n))
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 17, 31, 64, 65, 100, 130])
+def test_pivot_mask_reduction_matches_full_scan(n: int) -> None:
+    gen = random.Random(n)
+    for _ in range(60):
+        rows = messy_rows(gen, n)
+        basis, pivots = reduce_by_scan(rows)
+        code = LinearCode.from_ints(n, rows)
+        assert [w.bits for w in code.basis] == basis
+        assert list(code.pivots) == pivots
+        reduced, rank = row_reduce(code.rows)
+        assert [w.bits for w in reduced] == basis and rank == len(basis)
+        assert list(code.dual_rows) == dual_by_scan(n, basis, pivots)
+        assert [w.bits for w in code.dual_basis()] == list(code.dual_rows)
+        for h in code.dual_rows:
+            for b in basis:
+                assert (h & b).bit_count() % 2 == 0
+
+
 @given(st.integers(2, 10), st.data())
 def test_syndrome_zero_iff_member(n: int, data) -> None:
     rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=4))
@@ -163,6 +236,19 @@ def test_span_cap_enforced() -> None:
         list(enumerate_span(code))
     with pytest.raises(CapExceededError, match=f"span_array: .*{16 << 28} bytes exceed BYTES_CAP"):
         span_array(code)
+
+
+@pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+def test_xor_span_matches_concatenate_definition(dtype) -> None:
+    bits = np.iinfo(dtype).bits
+    gen = random.Random(bits)
+    for length in range(21):
+        values = [gen.getrandbits(bits) for _ in range(length)]
+        want = np.zeros(1, dtype=dtype)
+        for v in values:
+            want = np.concatenate([want, want ^ dtype(v)])
+        got = xor_span(values, dtype)
+        assert got.dtype == dtype and np.array_equal(got, want), length
 
 
 def test_span_array_matches_enumeration() -> None:
