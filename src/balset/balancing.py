@@ -14,7 +14,11 @@ The count only depends on which cosets of C miss the band, so the engine
 (`coset_counts`, the `wht` method, which `auto` always picks) works in the
 2^(n-k) syndrome space: one Walsh-Hadamard transform of the band's
 Krawtchouk spectrum over the dual code gives the number of band words in
-every coset.  `naive`, `sphere_mark` and `syndrome` stay as independent
+every coset.  The band is closed under complement (weight w <-> n - w), so
+y + c is in it exactly when y + c + 1 is, 1 the all-ones word: C and
+C + <1> leave the same words uncovered.  `wht` and `coverage_profile`
+therefore transform the cosets of C + <1>, a length of 2^(n-k-1) when 1 is
+not in C.  `naive`, `sphere_mark` and `syndrome` stay as independent
 oracles over words.  Each method states its work and bytes up front and
 refuses through gf2.check_budget before it allocates.
 
@@ -610,9 +614,29 @@ def coset_counts(
     return v
 
 
+def _with_ones(code: LinearCode) -> tuple[tuple[int, ...], int]:
+    """(dual rows, dimension) of C + <1>, 1 the all-ones word.
+
+    The band is closed under complement, so y + c is in it exactly when
+    y + c + 1 is: C + <1> leaves the same words uncovered as C, and each of
+    its cosets is two cosets of C with equal counts.  Its dual is the
+    even-weight part of C's: with no odd dual row, 1 is in C already;
+    otherwise the first odd row is XORed into every other odd row and
+    dropped, leaving n - k - 1 rows.
+    """
+    rows = code.dual_rows
+    odd = next((i for i, h in enumerate(rows) if h.bit_count() & 1), None)
+    if odd is None:
+        return rows, code.k
+    first = rows[odd]
+    rest = tuple(h ^ first if h.bit_count() & 1 else h for h in rows[odd + 1 :])
+    return rows[:odd] + rest, code.k + 1
+
+
 def _q_wht(code: LinearCode, spec: BalanceSpec) -> int:
-    counts = coset_counts(spec, code.dual_rows)
-    return (counts.size - int(np.count_nonzero(counts))) << code.k
+    rows, k = _with_ones(code)
+    counts = coset_counts(spec, rows)
+    return (counts.size - int(np.count_nonzero(counts))) << k
 
 
 def _q_syndrome(code: LinearCode, spec: BalanceSpec) -> int:
@@ -642,8 +666,11 @@ def q_exact(code: LinearCode, spec: BalanceSpec, method: str = "auto") -> QRepor
       naive:       per-word scan over codewords with early exit.
       sphere_mark: mark every covered word in a 2^n bitmap, codeword by
                    codeword.
-      wht:         coset_counts, one Walsh-Hadamard transform of length
-                   2^(n-k) over the dual code, then count empty cosets.
+      wht:         coset_counts, one Walsh-Hadamard transform over the
+                   dual code of C + <1>, then count empty cosets.  Its
+                   length is 2^(n-k-1) when 1 is not in C (2^(n-k) when it
+                   is): the band is closed under complement, so C + <1>
+                   leaves the same words uncovered as C.
       syndrome:    bucket thick-sphere words by syndrome and count empty
                    buckets.
     Each method checks its estimated work and bytes against gf2's WORK_CAP
@@ -720,10 +747,19 @@ def shift_overlaps(mask: np.ndarray, shifts: np.ndarray) -> np.ndarray:
 
 def coverage_profile(code: LinearCode, spec: BalanceSpec) -> CoverageProfile:
     """hist[j] = number of words with exactly j codewords at covering
-    distance; each of the 2^k words of a coset has its coset's count."""
+    distance; each of the 2^k words of a coset has its coset's count.
+
+    Counted on the cosets of C + <1> (see _with_ones): when 1 is not in C,
+    each holds twice its words' count, so every count must be even and is
+    halved, and an odd one means the transform is wrong (RuntimeError)."""
     _validate(code, spec)
-    counts = coset_counts(spec, code.dual_rows)
-    hist = np.bincount(counts) << code.k
+    rows, k = _with_ones(code)
+    counts = coset_counts(spec, rows)
+    if k > code.k:
+        if np.bitwise_or.reduce(counts) & 1:
+            raise RuntimeError("coverage_profile: a coset count of C + <1> is odd")
+        counts >>= 1
+    hist = np.bincount(counts) << k
     return CoverageProfile(spec.n, code.k, spec.lam, tuple(int(h) for h in hist))
 
 

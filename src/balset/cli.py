@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .gf2 import (
@@ -157,9 +158,10 @@ def _parse_rows_range(text: str) -> list[int]:
 
 def _trial_threads(config: EnsembleConfig, threads: int) -> int:
     """Size of the trial pool: one thread when a full-rank trial's transform
-    (2^(n - k) values) fits in one FWHT_BLOCK.  Such a trial is a chain of
-    short numpy calls, and trials on two threads mostly wait on each other
-    for the interpreter lock.  A longer transform gets the threads."""
+    (at most 2^(n - k) values) fits in one FWHT_BLOCK.  Such a trial is a
+    chain of short numpy calls, and trials on two threads mostly wait on
+    each other for the interpreter lock.  A longer transform gets the
+    threads."""
     k = config.rows + (config.fixed_prefix.k if config.fixed_prefix else 0)
     return threads if 1 << max(config.n - k, 0) > FWHT_BLOCK else 1
 
@@ -472,9 +474,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser.  Building it costs about a millisecond
+    (each add_argument makes a help formatter), more than a small check;
+    parse_args leaves it as it was, so every call of main can share it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -513,14 +513,68 @@ def seeded_code(n: int, k: int, seed: int) -> LinearCode:
     return code
 
 
+def with_ones(code: LinearCode) -> LinearCode:
+    """code + <1>, 1 the all-ones word."""
+    ones = Word(code.n, (1 << code.n) - 1)
+    return code if code.contains(ones) else code.extended(ones)
+
+
+def one_odd_dual_code(n: int, k: int, seed: int) -> LinearCode:
+    """A code of dimension k (0 < k < n) whose dual_rows hold exactly one
+    odd-weight row.  Its basis is in RREF with pivots 0..k-1, so dual row f
+    (f >= k) is e_f plus the pivot of every basis row carrying f: it is odd
+    when an even number of rows carry f.  Row 0 sets those counts odd for
+    every f but the last."""
+    rng = np.random.default_rng(seed)
+    rows = [1 << i | int(rng.integers(0, 1 << (n - k))) << k for i in range(k)]
+    carried = 0
+    for row in rows:
+        carried ^= row >> k
+    rows[0] ^= (carried ^ ((1 << (n - k - 1)) - 1)) << k
+    code = LinearCode.from_ints(n, rows)
+    assert code.k == k
+    assert [h.bit_count() & 1 for h in code.dual_rows].count(1) == 1
+    return code
+
+
+def shapes(n: int, k: int, seed: int) -> list[LinearCode]:
+    """The three cases of _with_ones at (n, k): a seeded code, the same code
+    plus 1 (so 1 is in it), and, for 0 < k < n, a code with exactly one odd
+    dual row."""
+    code = seeded_code(n, k, seed)
+    return [code, with_ones(code)] + ([one_odd_dual_code(n, k, seed)] if 0 < k < n else [])
+
+
 def test_wht_matches_naive_every_shape() -> None:
     for n in range(2, 15, 2):
         for k in range(n + 1):
-            code = seeded_code(n, k, 100 * n + k)
-            for lam in range(n // 2):
-                spec = BalanceSpec(n, lam)
-                want = q_exact(code, spec, "naive").uncovered_count
-                assert q_exact(code, spec, "wht").uncovered_count == want, (n, k, lam)
+            for code in shapes(n, k, 100 * n + k):
+                for lam in range(n // 2):
+                    spec = BalanceSpec(n, lam)
+                    want = q_exact(code, spec, "naive").uncovered_count
+                    got = q_exact(code, spec, "wht").uncovered_count
+                    assert got == want, (n, code.k, lam)
+
+
+def test_wht_transforms_the_cosets_of_c_plus_ones(monkeypatch) -> None:
+    # q_exact and coverage_profile hand coset_counts n - k - 1 check rows
+    # when 1 is not in C, and n - k when it is
+    seen = []
+
+    def spy(spec, rows):
+        seen.append(len(rows))
+        return coset_counts(spec, rows)
+
+    monkeypatch.setattr(balancing, "coset_counts", spy)
+    base = seeded_code(12, 4, 3)
+    plus_ones = with_ones(base)
+    assert plus_ones.k == 5  # so 1 is not in base
+    cases = [(base, 7), (plus_ones, 7), (one_odd_dual_code(12, 5, 3), 6)]
+    for code, want in cases:
+        for run in (q_exact, coverage_profile):
+            seen.clear()
+            run(code, BalanceSpec(12, 1))
+            assert seen == [want], (code.k, run.__name__)
 
 
 def test_wht_matches_syndrome_on_long_codes() -> None:
@@ -605,14 +659,24 @@ def test_shift_overlaps_match_direct_count() -> None:
 
 def test_coverage_profile_matches_per_word_histogram() -> None:
     for i, (n, k) in enumerate([(4, 0), (6, 2), (8, 3), (10, 1), (10, 5), (12, 4), (12, 6)]):
-        code = seeded_code(n, k, 7 + i)
-        words = np.arange(1 << n, dtype=np.uint64)
-        dist = np.bitwise_count(words[:, None] ^ span_array(code)[None, :])
-        for lam in range(n // 2):
-            lo, hi = BalanceSpec(n, lam).band
-            per_word = ((dist >= lo) & (dist <= hi)).sum(axis=1)
-            hist = coverage_profile(code, BalanceSpec(n, lam)).histogram
-            assert hist == tuple(int(c) for c in np.bincount(per_word)), (n, k, lam)
+        for code in shapes(n, k, 7 + i):
+            words = np.arange(1 << n, dtype=np.uint64)
+            dist = np.bitwise_count(words[:, None] ^ span_array(code)[None, :])
+            for lam in range(n // 2):
+                lo, hi = BalanceSpec(n, lam).band
+                per_word = ((dist >= lo) & (dist <= hi)).sum(axis=1)
+                prof = coverage_profile(code, BalanceSpec(n, lam))
+                assert prof.k == code.k
+                assert prof.histogram == tuple(int(c) for c in np.bincount(per_word)), (n, code.k, lam)
+
+
+def test_coverage_profile_refuses_an_odd_count(monkeypatch) -> None:
+    # when 1 is not in C, every count of C + <1> is twice a count of C
+    monkeypatch.setattr(
+        balancing, "coset_counts", lambda spec, rows: np.array([2, 3, 0, 4], dtype=np.int32)
+    )
+    with pytest.raises(RuntimeError, match="odd"):
+        coverage_profile(LinearCode.from_ints(4, [1]), BalanceSpec(4))
 
 
 def test_coverage_profile_double_counting() -> None:

@@ -82,6 +82,9 @@ BOUNDARIES = [
     ("coset_counts int64: r = 26 | 27", "coset_counts",
      lambda: coset_counts(BalanceSpec(62), [1] * 26),
      lambda: coset_counts(BalanceSpec(62), [1] * 27)),
+    ("q_exact wht n = 28, k = 1: 1 not in C | 1 in C", "coset_counts",
+     lambda: q_exact(units(28, 1), BalanceSpec(28), "wht"),
+     lambda: q_exact(LinearCode.from_ints(28, [(1 << 28) - 1]), BalanceSpec(28), "wht")),
     ("syndrome n = 32: lam = 0 | 1", "syndrome",
      lambda: q_exact(figure1_fixture(32).code, BalanceSpec(32, 0), "syndrome"),
      lambda: q_exact(figure1_fixture(32).code, BalanceSpec(32, 1), "syndrome")),
@@ -167,7 +170,7 @@ REFUSALS = [
      f"sphere_mark: estimated {(1 << 30) + 16 * math.comb(30, 15)} bytes exceed BYTES_CAP"),
     ("wht",
      lambda: q_exact(units(56, 0), BalanceSpec(56), "wht"),
-     f"coset_counts: estimated work {56 << 56} exceeds WORK_CAP"),
+     f"coset_counts: estimated work {55 << 55} exceeds WORK_CAP"),
     ("syndrome",
      lambda: q_exact(units(34, 2), BalanceSpec(34), "syndrome"),
      f"syndrome: estimated work {math.comb(34, 17) * 4} exceeds WORK_CAP"),
