@@ -16,11 +16,11 @@ The count only depends on which cosets of C miss the band, so the engine
 Krawtchouk spectrum over the dual code gives the number of band words in
 every coset.  The band is closed under complement (weight w <-> n - w), so
 y + c is in it exactly when y + c + 1 is, 1 the all-ones word: C and
-C + <1> leave the same words uncovered.  `wht` and `coverage_profile`
-therefore transform the cosets of C + <1>, a length of 2^(n-k-1) when 1 is
-not in C.  `naive`, `sphere_mark` and `syndrome` stay as independent
-oracles over words.  Each method states its work and bytes up front and
-refuses through gf2.check_budget before it allocates.
+C + <1> leave the same words uncovered.  `wht` therefore transforms the
+cosets of C + <1>, a length of 2^(n-k-1) when 1 is not in C.  `naive`,
+`sphere_mark` and `syndrome` stay as independent oracles over words.
+Each method states its work and bytes up front and refuses through
+gf2.check_budget before it allocates.
 
 The transform (fwht_inplace) runs each block of FWHT_BLOCK values through
 all its levels while the block and one block of scratch sit in a core's L2,
@@ -747,19 +747,10 @@ def shift_overlaps(mask: np.ndarray, shifts: np.ndarray) -> np.ndarray:
 
 def coverage_profile(code: LinearCode, spec: BalanceSpec) -> CoverageProfile:
     """hist[j] = number of words with exactly j codewords at covering
-    distance; each of the 2^k words of a coset has its coset's count.
-
-    Counted on the cosets of C + <1> (see _with_ones): when 1 is not in C,
-    each holds twice its words' count, so every count must be even and is
-    halved, and an odd one means the transform is wrong (RuntimeError)."""
+    distance; each of the 2^k words of a coset has its coset's count."""
     _validate(code, spec)
-    rows, k = _with_ones(code)
-    counts = coset_counts(spec, rows)
-    if k > code.k:
-        if np.bitwise_or.reduce(counts) & 1:
-            raise RuntimeError("coverage_profile: a coset count of C + <1> is odd")
-        counts >>= 1
-    hist = np.bincount(counts) << k
+    counts = coset_counts(spec, code.dual_rows)
+    hist = np.bincount(counts) << code.k
     return CoverageProfile(spec.n, code.k, spec.lam, tuple(int(h) for h in hist))
 
 

@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import sys
-from functools import lru_cache
 from pathlib import Path
 
 from .gf2 import (
@@ -157,11 +156,12 @@ def _parse_rows_range(text: str) -> list[int]:
 
 
 def _trial_threads(config: EnsembleConfig, threads: int) -> int:
-    """Size of the trial pool: one thread when a full-rank trial's transform
-    (at most 2^(n - k) values) fits in one FWHT_BLOCK.  Such a trial is a
+    """Size of the trial pool: one thread when 2^(n - k) fits in one
+    FWHT_BLOCK.  A full-rank trial then transforms at most half a block
+    (the 2^(n - k - 1) cosets of C + <1>; a random code rarely holds 1), a
     chain of short numpy calls, and trials on two threads mostly wait on
-    each other for the interpreter lock.  A longer transform gets the
-    threads."""
+    each other for the interpreter lock.  At one full block (n - k = 18),
+    two threads still ran trials about twice as fast on two cores."""
     k = config.rows + (config.fixed_prefix.k if config.fixed_prefix else 0)
     return threads if 1 << max(config.n - k, 0) > FWHT_BLOCK else 1
 
@@ -474,16 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser.  Building it costs about a millisecond
-    (each add_argument makes a help formatter), more than a small check;
-    parse_args leaves it as it was, so every call of main can share it."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

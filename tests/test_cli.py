@@ -22,7 +22,6 @@ from balset import (
     save_generator_matrix,
     simplex_extended,
 )
-from balset import cli
 from balset.cli import main
 
 CODEC_DIR = files("balset") / "fixtures"
@@ -403,33 +402,6 @@ class TestReduce:
     def test_malformed_instance_is_usage_error(self, run, tmp_path):
         path = self.write(tmp_path, "bad.txt", "2 2\n1 1 1\n")
         assert run("reduce", "--hypergraph", path, "--out", tmp_path)[0] == 2
-
-
-def test_main_reuses_its_parser(capsys, matrices):
-    """A usage error between two checks leaves the shared parser as it was:
-    each call prints and exits as a call on a fresh parser does."""
-    calls = [
-        ["check", "--matrix", str(matrices / "c044.txt"), "--lambda", "1"],
-        ["check", "--lambda", "x"],
-        ["check", "--matrix", str(matrices / "zero4.txt")],
-    ]
-
-    def call(argv):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        out = capsys.readouterr()
-        return code, [strip_timing(o) for o in json_lines(out.out)], out.err
-
-    fresh = []
-    for argv in calls:
-        cli._parser.cache_clear()
-        fresh.append(call(argv))
-    reused = [call(argv) for argv in calls]
-    assert [c for c, _, _ in fresh] == [0, 2, 0]
-    assert reused == fresh
-    assert cli._parser.cache_info().misses == 1
 
 
 def test_console_script_installed():
