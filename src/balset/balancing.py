@@ -622,7 +622,10 @@ def _with_ones(code: LinearCode) -> tuple[tuple[int, ...], int]:
     its cosets is two cosets of C with equal counts.  Its dual is the
     even-weight part of C's: with no odd dual row, 1 is in C already;
     otherwise the first odd row is XORed into every other odd row and
-    dropped, leaving n - k - 1 rows.
+    dropped, leaving n - k - 1 rows.  The `wht` engine and
+    ensemble.lemma1_identity_check work on these rows;
+    constructions.greedy_balancing reaches the same space by starting its
+    basis at 1.
     """
     rows = code.dual_rows
     odd = next((i for i, h in enumerate(rows) if h.bit_count() & 1), None)
@@ -702,7 +705,8 @@ def uncovered_mask(code: LinearCode, spec: BalanceSpec) -> np.ndarray:
     empty cosets of coset_counts, read at each word's syndrome.
 
     A thin word-level view kept for the tests; greedy and Lemma 1 work on
-    the 2^(n-k) empty-coset array directly.
+    the empty-coset array of C + <1> directly, 2^(n-k-1) syndromes when 1
+    is not in C.
     """
     _validate(code, spec)
     n = spec.n

@@ -6,10 +6,12 @@ that grows a subspace by halving the uncovered fraction (squaring Q at every
 step), bit-exact fixture matrices for n = 8..32, and the four dimension
 bounds (two lower, two upper) evaluated in exact integer arithmetic.
 
-The greedy builder works in syndrome space: it keeps the 2^(n-k) array of
-empty cosets, indexed by a packed syndrome whose order is the order of the
-coset minima, so scoring every shift costs one transform of length 2^(n-k)
-and the smallest best generator is still the one chosen.
+The greedy builder works in the syndrome space of C + <1>, 1 the all-ones
+word, which leaves the same words uncovered as C because the band is
+closed under complement.  It keeps the 2^(n-k-1) array of empty cosets,
+indexed by a packed syndrome whose order is the order of the coset minima,
+so scoring every shift costs one transform of length 2^(n-k-1) and the
+smallest best generator is still the one chosen.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .balancing import (
     pair_distance_count,
     shift_overlaps,
 )
+from .ensemble import trial_rng
 
 __all__ = [
     "DimensionBounds",
@@ -198,7 +201,7 @@ def _autocorrelation(empty: np.ndarray) -> np.ndarray:
     """A[s] = |S . (S + s)| for every syndrome s, S the empty cosets: the
     XOR autocorrelation, one transform pair for all shifts at once."""
     r = empty.size.bit_length() - 1
-    v = empty.astype(np.int32)  # |transform| <= 2^r; the greedy budget keeps r <= 26
+    v = empty.astype(np.int32)  # |transform| <= 2^r; the greedy budget keeps r <= 24
     fwht_inplace(v)
     v = np.multiply(v, v, dtype=np.int64)
     fwht_inplace(v)
@@ -240,14 +243,33 @@ def _fold(empty: np.ndarray, s: int) -> np.ndarray:
     empty.  The partner of such an i lies in the half with bit p set, at
     the low bits of i XOR those of s.  With one axis per low bit, that XOR
     reverses the axes of the bits set in s, so the partners are one np.flip
-    view of that half (numpy merges adjacent axes back into long runs)."""
+    view of that half (numpy merges adjacent axes back into long runs).
+
+    numpy's inner loop runs over the lowest run of equal bits of s below
+    p, only 2-4 values when that run holds at most 2 bits.  The outer axis
+    (the bits above p) then goes innermost, if p <= 10 and the array holds
+    at most 2^19 values: each pass of that loop strides 2^(p+1) bytes
+    across the whole array, which beats the short runs while the array
+    stays in cache and loses to them once it spills."""
     p = s.bit_length() - 1
     shape = (-1,) + (2,) * p  # axis 1 + j holds bit p - 1 - j
     halves = empty.reshape(-1, 2, 1 << p)
+    ours = halves[:, 0, :].reshape(shape)
     partner = np.flip(
         halves[:, 1, :].reshape(shape), [p - t for t in range(p) if s >> t & 1]
     )
-    return np.logical_and(halves[:, 0, :].reshape(shape), partner).ravel()
+    short_run = p <= 2 or s & 7 not in (0, 7)  # bits 0..2 of s not all equal
+    if not (0 < p <= 10 and short_run and empty.size <= 1 << 19):
+        return np.logical_and(ours, partner).ravel()
+    out = np.empty(empty.size >> 1, dtype=bool)
+    order = [*range(1, p + 1), 0]
+    np.logical_and(
+        ours.transpose(order),
+        partner.transpose(order),
+        out=out.reshape(shape).transpose(order),
+        order="C",  # iterate in the order given: the outer axis innermost
+    )
+    return out
 
 
 def greedy_balancing(
@@ -270,23 +292,29 @@ def greedy_balancing(
     falls back to a full scan after 3 failed batches.  Terminates with
     status "balanced" at Q = 0, or "max_dim_reached".
 
-    The work runs in syndrome space.  C's basis is kept fully reduced with
-    each row's pivot at its highest bit, so the coset minimum of y is the
-    representative with zeros at every pivot; the syndrome packs its free
-    bits in ascending order, which keeps the order of coset minima.  With S
-    the set of empty (uncovered) cosets, |U . (U + x)| = 2^k |S . (S + s)|
-    for the syndrome s of x, so a full scan is one 2^(n-k) autocorrelation
-    whose argmin spreads back to the smallest best x (every x shares its
-    score with its coset minimum, which is no larger), and a sample is
-    scored by counting S . (S + s) directly for each candidate.  At k = 0
-    the score depends on the weight of x alone and comes in closed form.
-    After a step S keeps the cosets that stay empty, folded onto the
-    2^(n-k-1) syndromes of the larger code.
+    The work runs in the syndrome space of C + <1>, 1 the all-ones word:
+    the band is closed under complement, so the uncovered set U satisfies
+    U + 1 = U, and C + <1> has the same uncovered words as C.  Its basis
+    starts at 1 and is kept fully reduced with each row's pivot at its
+    highest bit, so the coset minimum of y is the representative with
+    zeros at every pivot; the syndrome packs its free bits in ascending
+    order, which keeps the order of coset minima.  With S' the set of
+    empty (uncovered) cosets and k' the dimension of C + <1>,
+    |U . (U + x)| = 2^k' |S' . (S' + s)| for the syndrome s of x, so a
+    full scan is one 2^(n-k') autocorrelation whose argmin spreads back to
+    the smallest best x (every x shares its score with its coset minimum,
+    which is no larger), and a sample is scored by counting S' . (S' + s)
+    directly for each candidate.  At the first step the score depends on
+    the weight of x alone and comes in closed form.  After a step S' keeps
+    the cosets that stay empty, folded onto the 2^(n-k'-1) syndromes of
+    the larger code.  An accepted x never lies in C + <1>, whose members
+    score |U|, so 1 never joins C.
 
-    The largest step transforms 2^(n-1) syndromes twice, so the work is
-    budgeted at 2(n-1) 2^(n-1) touches and 13 bytes per syndrome (the
+    The largest step transforms 2^(n-2) syndromes twice, so the work is
+    budgeted at 2(n-2) 2^(n-2) touches and 13 bytes per syndrome (the
     empty set, the int32 and int64 transforms), checked before the first
-    step.
+    step.  Sampled mode draws from trial_rng(rng_seed, 4 step + attempt),
+    which refuses an rng_seed outside the int64 range.
     """
     if spec is None:
         spec = BalanceSpec(n)
@@ -294,7 +322,7 @@ def greedy_balancing(
         raise ValueError(f"spec length {spec.n} != n = {n}")
     if mode not in ("full_scan", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    check_budget("greedy_balancing", 2 * (n - 1) << (n - 1), 13 << (n - 1))
+    check_budget("greedy_balancing", 2 * (n - 2) << (n - 2), 13 << (n - 2))
     if batch is None:
         batch = 4 * n
     if mode == "sampled" and batch < 1:
@@ -306,8 +334,9 @@ def greedy_balancing(
     by_weight = _weight_scores(spec)
     unc = int(by_weight[0])
     rows: list[Word] = []
-    basis: list[int] = []  # fully reduced, each pivot the row's top bit
-    empty = np.zeros(0, dtype=bool)  # S, indexed by packed syndrome
+    # C + <1>, fully reduced, each pivot the row's top bit
+    basis: list[int] = [size - 1]
+    empty = np.zeros(0, dtype=bool)  # S', indexed by packed syndrome
     trace = [GreedyStep(0, 0, unc, Fraction(unc, size))]
 
     while unc and len(rows) < max_dim:
@@ -316,11 +345,10 @@ def greedy_balancing(
         checks = _syndrome_checks(n, basis)
         x = -1
         for attempt in range(3 if mode == "sampled" else 0):
-            rng = np.random.Generator(
-                np.random.Philox(key=[rng_seed, step * 4 + attempt])
+            cand = trial_rng(rng_seed, step * 4 + attempt).integers(
+                1, size, size=batch, dtype=np.uint64
             )
-            cand = rng.integers(1, size, size=batch, dtype=np.uint64)
-            if k == 0:
+            if not rows:
                 counts = by_weight[np.bitwise_count(cand)]
             else:
                 syn = sum(
@@ -332,7 +360,7 @@ def greedy_balancing(
             if int(counts[best]) * size <= unc * unc:
                 x, new_unc = int(cand[best]), int(counts[best])
                 break
-        if x < 0 and k == 0:
+        if x < 0 and not rows:
             d = int(np.argmin(by_weight))
             x, new_unc = (1 << d) - 1, int(by_weight[d])
         elif x < 0:
@@ -343,7 +371,7 @@ def greedy_balancing(
         assert new_unc * size <= unc * unc, "squaring condition violated"
 
         basis, rep = _adjoin(basis, x)
-        if k == 0:
+        if not rows:
             empty = coset_counts(spec, _syndrome_checks(n, basis)) == 0
         else:
             s = sum(1 << j for j, h in enumerate(checks) if rep & h & -h)

@@ -6,13 +6,15 @@ mean_x Q(C + Fx) = Q(C)^2 verified in rational arithmetic, and the
 weight-concentration experiment for small sampled subspaces.
 
 Every trial draws its randomness from a counter-based philox4x64 stream
-keyed by (master_seed, trial_index), so runs are reproducible and trials
-can execute in any order or in parallel.
+keyed by (master_seed, trial_index), both in the int64 range, so runs are
+reproducible and trials can execute in any order or in parallel.  The
+Monte-Carlo trials reuse one generator per thread, reset to each key.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ import numpy as np
 from .gf2 import LinearCode, Word, check_budget
 from .balancing import (
     BalanceSpec,
+    _with_ones,
     coset_counts,
     q_exact,
     serial_transforms,
@@ -57,6 +60,7 @@ class EnsembleConfig:
             raise ValueError(f"rows must be >= 0, got {self.rows}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        _check_key(self.master_seed)
         if self.fixed_prefix is not None and self.fixed_prefix.n != self.n:
             raise ValueError("fixed_prefix length mismatch")
 
@@ -99,10 +103,45 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
     return lo, hi
 
 
+def _check_key(*parts: int) -> None:
+    """Refuse a philox key part outside [-2^63, 2^63).  Philox reads each
+    part as an int64 reinterpreted as uint64, so -1 and 2^64 - 1 would be
+    one key, and numpy passes a larger part through float64, where
+    neighbouring keys collide."""
+    for part in parts:
+        if not -(1 << 63) <= part < 1 << 63:
+            raise ValueError(f"philox key part {part} outside [-2^63, 2^63)")
+
+
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     """The philox4x64 stream for one trial; streams never overlap across
-    distinct (master_seed, trial) keys."""
+    distinct (master_seed, trial) keys, each in the int64 range."""
+    _check_key(master_seed, trial)
     return np.random.Generator(np.random.Philox(key=[master_seed, trial]))
+
+
+_local = threading.local()
+_U64 = (1 << 64) - 1
+
+
+def _trial_stream(master_seed: int, trial: int) -> np.random.Generator:
+    """trial_rng(master_seed, trial), drawn from this thread's one Philox
+    generator: its whole state is set to that of a fresh stream with this
+    key (counter 0, nothing buffered), which costs a fraction of building
+    a new bit generator."""
+    _check_key(master_seed, trial)
+    rng = getattr(_local, "rng", None)
+    if rng is None:
+        rng = _local.rng = np.random.Generator(np.random.Philox())
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (master_seed & _U64, trial & _U64)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def _uniform_words(n: int, count: int, rng: np.random.Generator) -> list[int]:
@@ -145,7 +184,7 @@ def sample_random_subspace(
 
 
 def _run_trial(config: EnsembleConfig, spec: BalanceSpec, trial: int) -> bool:
-    rng = trial_rng(config.master_seed, trial)
+    rng = _trial_stream(config.master_seed, trial)
     code = sample_random_subspace(config.n, config.rows, rng, config.fixed_prefix)
     return q_exact(code, spec).uncovered_count == 0
 
@@ -182,27 +221,30 @@ def lemma1_identity_check(
 ) -> tuple[Fraction, Fraction, bool]:
     """Exact check of mean_x Q(C + Fx) = Q(C)^2 over all 2^n shifts x.
 
-    Runs in syndrome space: with S the empty cosets of C (those holding no
-    band word), the uncovered words of C + Fx number
-    |U . (U + x)| = 2^k |S . (S + s)|, s the syndrome of x, and each of the
-    2^(n-k) syndromes is the syndrome of 2^k shifts.  shift_overlaps counts
-    each overlap directly, not through the identity under test, so the
-    left side is sum_s |S . (S + s)| * 4^k / 4^n.  That is 2^r shifts of
-    ceil(2^r / 64) packed words each, r = n - k, budgeted before the
-    transform runs.
+    Runs in the syndrome space of C + <1>, 1 the all-ones word, which
+    leaves the same words uncovered as C (balancing._with_ones gives its
+    r' dual rows and dimension k', for 1 in C or not).  With S' its empty
+    cosets (those holding no band word), the uncovered words of C + Fx
+    number |U . (U + x)| = 2^k' |S' . (S' + s)|, s the syndrome of x, and
+    each of the 2^r' syndromes is the syndrome of 2^k' shifts.
+    shift_overlaps counts each overlap directly, not through the identity
+    under test, so the left side is sum_s |S' . (S' + s)| * 4^k' / 4^n.
+    That is 2^r' shifts of ceil(2^r' / 64) packed words each, budgeted
+    before the transform runs.
     """
     n = spec.n
     if code.n != n:
         raise ValueError(f"code length {code.n} != spec length {spec.n}")
-    r = n - code.k
+    rows, k = _with_ones(code)
+    r = len(rows)
     check_budget("lemma1_identity_check", (1 << r) * -(-(1 << r) // 64))
-    empty = coset_counts(spec, code.dual_rows) == 0
-    unc = int(np.count_nonzero(empty)) << code.k
+    empty = coset_counts(spec, rows) == 0
+    unc = int(np.count_nonzero(empty)) << k
     rhs = Fraction(unc, 1 << n) ** 2
     if unc == 0:
         return Fraction(0), rhs, rhs == 0
     total = int(shift_overlaps(empty, np.arange(empty.size)).sum())
-    lhs = Fraction(total << (2 * code.k), 1 << (2 * n))
+    lhs = Fraction(total << (2 * k), 1 << (2 * n))
     return lhs, rhs, lhs == rhs
 
 

@@ -106,9 +106,12 @@ BOUNDARIES = [
     ("greedy: n = 26 | 28", "greedy_balancing",
      lambda: greedy_balancing(26),
      lambda: greedy_balancing(28)),
-    ("lemma 1: r = 18 | 19", "lemma1_identity_check",
-     lambda: lemma1_identity_check(units(20, 2), BalanceSpec(20)),
-     lambda: lemma1_identity_check(units(20, 1), BalanceSpec(20))),
+    ("lemma 1: r' = 18 | 19", "lemma1_identity_check",
+     lambda: lemma1_identity_check(units(20, 1), BalanceSpec(20)),
+     lambda: lemma1_identity_check(units(20, 0), BalanceSpec(20))),
+    ("lemma 1, 1 in C: r' = 18 | 19", "lemma1_identity_check",
+     lambda: lemma1_identity_check(LinearCode.from_ints(20, [1, (1 << 20) - 1]), BalanceSpec(20)),
+     lambda: lemma1_identity_check(LinearCode.from_ints(20, [(1 << 20) - 1]), BalanceSpec(20))),
     ("structural: t = 6, m = 20 | t = 9, m = 3", "structural",
      lambda: every_coset_has_balanced_word(hprime(6, 20), 6, 20, "structural"),
      lambda: every_coset_has_balanced_word(hprime(9, 3), 9, 3, "structural")),

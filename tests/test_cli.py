@@ -152,6 +152,10 @@ class TestGreedy:
         args = ("greedy", "--n", 12, "--mode", "sampled", "--seed", 5)
         assert run(*args)[1] == run(*args)[1]
 
+    def test_seed_past_int64_is_usage_error(self, run):
+        code, out, err = run("greedy", "--n", 8, "--mode", "sampled", "--seed", 1 << 63)
+        assert code == 2 and out == "" and "outside" in err
+
 
 class TestFixtures:
     def test_default_sizes_verify_and_write(self, run, tmp_path):
@@ -223,6 +227,12 @@ class TestEnsemble:
         assert outputs[0] == outputs[1]
         assert pools == [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 1)]
 
+    @pytest.mark.parametrize("seed", [(1 << 64) - 1, 1 << 63, -(1 << 63) - 1])
+    def test_seed_past_int64_is_usage_error(self, run, seed):
+        # 2^64 - 1 would draw the streams of seed 0
+        code, out, err = run("ensemble", "--n", 8, "--rows", 3, "--trials", 5, "--seed", seed)
+        assert code == 2 and out == "" and "outside" in err
+
     def test_bad_thread_env_is_usage_error(self, run, monkeypatch):
         monkeypatch.setenv("BALSET_THREADS", "many")
         code, _, err = run("ensemble", "--n", 8, "--rows", 1)
@@ -247,6 +257,10 @@ class TestLemma1:
 
     def test_needs_matrix_or_n(self, run):
         assert run("lemma1")[0] == 2
+
+    def test_seed_past_int64_is_usage_error(self, run):
+        code, out, _ = run("lemma1", "--n", 6, "--random", 2, "--seed", 1 << 63)
+        assert code == 2 and out == ""
 
 
 class TestCodec:

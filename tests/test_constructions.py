@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from balset import constructions
 from balset.balancing import (
     BalanceSpec,
+    coset_counts,
     fwht_inplace,
     is_balancing_set,
     q_exact,
@@ -193,18 +195,31 @@ def test_greedy_validation() -> None:
         greedy_balancing(8, BalanceSpec(10))
     with pytest.raises(ValueError):
         greedy_balancing(8, mode="eager")
-    with pytest.raises(CapExceededError, match=f"work {2 * 27 << 27} exceeds WORK_CAP"):
+    with pytest.raises(CapExceededError, match=f"work {2 * 26 << 26} exceeds WORK_CAP"):
         greedy_balancing(28)
     with pytest.raises(ValueError):
         greedy_balancing(8, mode="sampled", batch=0)
 
 
-@pytest.mark.parametrize("r", range(1, 12))
+@pytest.mark.parametrize("seed", [1 << 63, -(1 << 63) - 1, (1 << 64) - 1])
+def test_greedy_refuses_sampled_seed_past_int64(seed: int) -> None:
+    with pytest.raises(ValueError, match="outside"):
+        greedy_balancing(8, mode="sampled", rng_seed=seed)
+
+
+def test_greedy_sampled_seed_at_int64_ends() -> None:
+    for seed in (-(1 << 63), (1 << 63) - 1):
+        assert greedy_balancing(8, mode="sampled", rng_seed=seed).status == "balanced"
+
+
+@pytest.mark.parametrize("r", [*range(1, 12), 19])
 def test_fold_matches_index_array_definition(r: int) -> None:
     rng = np.random.default_rng(r)
     empty = rng.random(1 << r) < 0.5
     index = np.arange(empty.size)
-    for s in range(1, 1 << r):
+    # at r = 19, small p with the outer axis innermost, and a long low run
+    shifts = range(1, 1 << r) if r < 12 else (1, 0b101, 0b1010101, 1 << 14 | 0b10, 0b111111111)
+    for s in shifts:
         p = s.bit_length() - 1
         want = (empty & empty[index ^ s]).reshape(-1, 2, 1 << p)[:, 0, :].ravel()
         assert np.array_equal(_fold(empty, s), want), s
@@ -272,6 +287,23 @@ def test_greedy_matches_word_space_oracle(n: int) -> None:
                     assert got == _word_greedy(n, lam, mode, seed, max_dim), (
                         lam, mode, seed, max_dim,
                     )
+
+
+def test_greedy_transforms_the_cosets_of_c_plus_ones(monkeypatch) -> None:
+    # the one coset_counts call, after step 1 (k = 1, 1 not in C), gets
+    # n - k - 1 check rows
+    seen = []
+
+    def spy(spec, rows):
+        seen.append(len(rows))
+        return coset_counts(spec, rows)
+
+    monkeypatch.setattr(constructions, "coset_counts", spy)
+    for mode in ("full_scan", "sampled"):
+        seen.clear()
+        res = greedy_balancing(12, BalanceSpec(12, 1), mode)
+        assert res.code.k >= 2
+        assert seen == [10], mode
 
 
 # rows and per-step uncovered counts the word-space builder gave at n = 20

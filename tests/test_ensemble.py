@@ -24,8 +24,11 @@ from balset import (
     weight_concentration_check,
     wilson_interval,
 )
+from balset import ensemble
+from balset.balancing import coset_counts
 from balset.cli import main
-from balset.ensemble import _uniform_word
+from balset.ensemble import _trial_stream, _uniform_word
+from test_balancing import one_odd_dual_code, seeded_code, with_ones
 
 
 def random_code(n: int, rows: int, seed: int, trial: int = 0) -> LinearCode:
@@ -67,6 +70,31 @@ class TestTrialStreams:
         rng = trial_rng(1, 0)
         for _ in range(50):
             assert 0 <= _uniform_word(11, rng) < 1 << 11
+
+    def test_reused_generator_matches_trial_rng(self):
+        # trials draw from one Philox per thread, its state reset for each
+        # key; the trial before each one leaves a uint32 half word buffered
+        keys = [(0, 0), (3, 11), (-(1 << 63), 0), ((1 << 63) - 1, 5), (-1, (1 << 63) - 1)]
+        for key in keys:
+            for n, rows in ((16, 4), (33, 3), (70, 2)):
+                left = _trial_stream(1, 2)
+                left.integers(0, 1 << 32, size=3, dtype=np.uint32)
+                assert left.bit_generator.state["has_uint32"] == 1
+                ref, rng = trial_rng(*key), _trial_stream(*key)
+                assert rng is left
+                got = sample_random_subspace(n, rows, rng)
+                assert got == sample_random_subspace(n, rows, ref), (key, n)
+                assert next_draws(rng) == next_draws(ref), (key, n)
+
+    @pytest.mark.parametrize(
+        "key", [(1 << 63, 0), (-(1 << 63) - 1, 0), (0, 1 << 63), ((1 << 64) - 1, 0)]
+    )
+    def test_keys_outside_int64_refused(self, key):
+        # numpy would read 2^64 - 1 as key 0 and 2^63 + 1 as 2^63
+        with pytest.raises(ValueError, match="outside"):
+            trial_rng(*key)
+        with pytest.raises(ValueError, match="outside"):
+            _trial_stream(*key)
 
 
 def per_row_words(n: int, rows: int, rng) -> list[int]:
@@ -254,7 +282,11 @@ class TestEstimateBalancingProbability:
         assert d["ci_lo"] == rep.wilson_ci_95[0]
         assert d["lambda"] == 0
 
-    @pytest.mark.parametrize("kwargs", [{"rows": -1}, {"trials": 0}, {"lam": 9}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"rows": -1}, {"trials": 0}, {"lam": 9},
+         {"master_seed": 1 << 63}, {"master_seed": -(1 << 63) - 1}],
+    )
     def test_config_validation(self, kwargs):
         base = {"n": 8, "rows": 2, "trials": 1, "lam": 0}
         with pytest.raises(ValueError):
@@ -285,24 +317,45 @@ class TestLemma1Identity:
 
     def test_matches_naive_shift_average(self):
         # oracle: average Q(C + Fx) over every shift x by the naive word
-        # scan, no coset folding
+        # scan, no coset folding; each code also with 1 adjoined and one
+        # with exactly one odd dual row
         for n, lam in ((6, 0), (8, 0), (8, 1), (10, 0), (10, 1)):
             for t in range(2):
                 code = random_code(n, 2, seed=17, trial=t)
-                spec = BalanceSpec(n, lam)
-                total = Fraction(0)
-                for x in range(1 << n):
-                    total += q_exact(code.extended(Word(n, x)), spec, method="naive").q
-                lhs = lemma1_identity_check(code, spec)[0]
-                assert lhs == total / (1 << n), (n, lam, t)
+                for c in (code, with_ones(code), one_odd_dual_code(n, 2, 17 + t)):
+                    spec = BalanceSpec(n, lam)
+                    total = Fraction(0)
+                    for x in range(1 << n):
+                        total += q_exact(c.extended(Word(n, x)), spec, method="naive").q
+                    lhs = lemma1_identity_check(c, spec)[0]
+                    assert lhs == total / (1 << n), (n, lam, t, c.k)
+
+    def test_transforms_the_cosets_of_c_plus_ones(self, monkeypatch):
+        # coset_counts gets n - k - 1 check rows when 1 is not in C, and
+        # n - k when it is
+        seen = []
+
+        def spy(spec, rows):
+            seen.append(len(rows))
+            return coset_counts(spec, rows)
+
+        monkeypatch.setattr(ensemble, "coset_counts", spy)
+        base = seeded_code(12, 4, 3)
+        plus_ones = with_ones(base)
+        assert plus_ones.k == 5  # so 1 is not in base
+        cases = [(base, 7), (plus_ones, 7), (one_odd_dual_code(12, 5, 3), 6)]
+        for code, want in cases:
+            seen.clear()
+            assert lemma1_identity_check(code, BalanceSpec(12, 1))[2]
+            assert seen == [want], code.k
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             lemma1_identity_check(LinearCode(6, ()), BalanceSpec(4, 0))
 
     def test_cap_enforced(self):
-        # r = 20: 2^20 shifts of 2^14 packed words each
-        with pytest.raises(CapExceededError, match=f"work {1 << 34} exceeds WORK_CAP"):
+        # r' = 19 (C + <1> = <1>): 2^19 shifts of 2^13 packed words each
+        with pytest.raises(CapExceededError, match=f"work {1 << 32} exceeds WORK_CAP"):
             lemma1_identity_check(LinearCode(20, ()), BalanceSpec(20, 0))
 
 
