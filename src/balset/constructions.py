@@ -30,7 +30,7 @@ from .balancing import (
     pair_distance_count,
     shift_overlaps,
 )
-from .ensemble import trial_rng
+from .ensemble import _check_key, trial_rng
 
 __all__ = [
     "DimensionBounds",
@@ -243,33 +243,14 @@ def _fold(empty: np.ndarray, s: int) -> np.ndarray:
     empty.  The partner of such an i lies in the half with bit p set, at
     the low bits of i XOR those of s.  With one axis per low bit, that XOR
     reverses the axes of the bits set in s, so the partners are one np.flip
-    view of that half (numpy merges adjacent axes back into long runs).
-
-    numpy's inner loop runs over the lowest run of equal bits of s below
-    p, only 2-4 values when that run holds at most 2 bits.  The outer axis
-    (the bits above p) then goes innermost, if p <= 10 and the array holds
-    at most 2^19 values: each pass of that loop strides 2^(p+1) bytes
-    across the whole array, which beats the short runs while the array
-    stays in cache and loses to them once it spills."""
+    view of that half (numpy merges adjacent axes back into long runs)."""
     p = s.bit_length() - 1
     shape = (-1,) + (2,) * p  # axis 1 + j holds bit p - 1 - j
     halves = empty.reshape(-1, 2, 1 << p)
-    ours = halves[:, 0, :].reshape(shape)
     partner = np.flip(
         halves[:, 1, :].reshape(shape), [p - t for t in range(p) if s >> t & 1]
     )
-    short_run = p <= 2 or s & 7 not in (0, 7)  # bits 0..2 of s not all equal
-    if not (0 < p <= 10 and short_run and empty.size <= 1 << 19):
-        return np.logical_and(ours, partner).ravel()
-    out = np.empty(empty.size >> 1, dtype=bool)
-    order = [*range(1, p + 1), 0]
-    np.logical_and(
-        ours.transpose(order),
-        partner.transpose(order),
-        out=out.reshape(shape).transpose(order),
-        order="C",  # iterate in the order given: the outer axis innermost
-    )
-    return out
+    return np.logical_and(halves[:, 0, :].reshape(shape), partner).ravel()
 
 
 def greedy_balancing(
@@ -313,8 +294,8 @@ def greedy_balancing(
     The largest step transforms 2^(n-2) syndromes twice, so the work is
     budgeted at 2(n-2) 2^(n-2) touches and 13 bytes per syndrome (the
     empty set, the int32 and int64 transforms), checked before the first
-    step.  Sampled mode draws from trial_rng(rng_seed, 4 step + attempt),
-    which refuses an rng_seed outside the int64 range.
+    step.  Sampled mode draws from trial_rng(rng_seed, 4 step + attempt)
+    and refuses an rng_seed outside the int64 range before the first step.
     """
     if spec is None:
         spec = BalanceSpec(n)
@@ -327,6 +308,8 @@ def greedy_balancing(
         batch = 4 * n
     if mode == "sampled" and batch < 1:
         raise ValueError(f"sampled mode needs batch >= 1, got {batch}")
+    if mode == "sampled":
+        _check_key(rng_seed)
     if max_dim is None:
         max_dim = n
 

@@ -152,8 +152,11 @@ class TestGreedy:
         args = ("greedy", "--n", 12, "--mode", "sampled", "--seed", 5)
         assert run(*args)[1] == run(*args)[1]
 
-    def test_seed_past_int64_is_usage_error(self, run):
-        code, out, err = run("greedy", "--n", 8, "--mode", "sampled", "--seed", 1 << 63)
+    @pytest.mark.parametrize("max_dim", [(), ("--max-dim", 0)])
+    def test_seed_past_int64_is_usage_error(self, run, max_dim):
+        code, out, err = run(
+            "greedy", "--n", 8, "--mode", "sampled", "--seed", (1 << 64) - 1, *max_dim
+        )
         assert code == 2 and out == "" and "outside" in err
 
 

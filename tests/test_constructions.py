@@ -205,6 +205,9 @@ def test_greedy_validation() -> None:
 def test_greedy_refuses_sampled_seed_past_int64(seed: int) -> None:
     with pytest.raises(ValueError, match="outside"):
         greedy_balancing(8, mode="sampled", rng_seed=seed)
+    # refused before the first step, also when no stream would be drawn
+    with pytest.raises(ValueError, match="outside"):
+        greedy_balancing(8, mode="sampled", rng_seed=seed, max_dim=0)
 
 
 def test_greedy_sampled_seed_at_int64_ends() -> None:
@@ -217,7 +220,7 @@ def test_fold_matches_index_array_definition(r: int) -> None:
     rng = np.random.default_rng(r)
     empty = rng.random(1 << r) < 0.5
     index = np.arange(empty.size)
-    # at r = 19, small p with the outer axis innermost, and a long low run
+    # at r = 19: small p with short runs of equal low bits, a large p, and a long low run
     shifts = range(1, 1 << r) if r < 12 else (1, 0b101, 0b1010101, 1 << 14 | 0b10, 0b111111111)
     for s in shifts:
         p = s.bit_length() - 1
