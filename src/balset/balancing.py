@@ -49,6 +49,7 @@ from .gf2 import (
     bulk_syndromes,
     check_budget,
     check_packed,
+    columns,
     span_array,
     syndrome_tables,
     weight_words,
@@ -715,8 +716,7 @@ def uncovered_mask(code: LinearCode, spec: BalanceSpec) -> np.ndarray:
     duals = code.dual_rows
     empty = coset_counts(spec, duals) == 0
     # the syndrome of coordinate c has bit j set where dual row j has c
-    cols = [sum((h >> c & 1) << j for j, h in enumerate(duals)) for c in range(n)]
-    low, high = _split_span(cols)
+    low, high = _split_span(columns(duals, n))
     return np.concatenate([empty[low ^ u] for u in high])
 
 

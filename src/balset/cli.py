@@ -151,7 +151,10 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
 def _parse_rows_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        rows = list(range(int(lo), int(hi) + 1))
+        if not rows:
+            raise ValueError(f"empty row range {text!r}")
+        return rows
     return [int(text)]
 
 
@@ -202,6 +205,8 @@ def cmd_lemma1(args: argparse.Namespace) -> int:
     else:
         if args.n is None:
             raise ValueError("lemma1 needs --matrix or --n with --random")
+        if args.random < 1:
+            raise ValueError(f"--random must be >= 1, got {args.random}")
         codes = [
             sample_random_subspace(args.n, args.rows, trial_rng(args.seed, i))
             for i in range(args.random)

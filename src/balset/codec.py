@@ -29,6 +29,7 @@ from .gf2 import (
     row_reduce,
     save_generator_matrix,
     span_array,
+    syndrome_bits,
     syndrome_tables,
     weight_words_chunks,
 )
@@ -56,19 +57,14 @@ class BalancingSearchError(RuntimeError):
 
 @dataclass(frozen=True)
 class SyndromeTable:
-    """Bounded-distance decoder for a linear code: maps every syndrome of a
-    weight <= radius error to its unique minimum-weight coset leader."""
+    """Bounded-distance decoder for a linear code: maps every syndrome
+    (gf2.syndrome_bits) of a weight <= radius error to its unique
+    minimum-weight coset leader."""
 
     code: LinearCode
     radius: int
-    duals: tuple[int, ...]
     leaders: np.ndarray
     filled: np.ndarray
-
-    def syndrome(self, bits: int) -> int:
-        return sum(
-            ((h & bits).bit_count() & 1) << j for j, h in enumerate(self.duals)
-        )
 
     def leader(self, syndrome: int) -> int | None:
         """Coset leader for this syndrome, or None beyond the radius."""
@@ -92,7 +88,7 @@ def _build_syndrome_table(code: LinearCode, radius: int) -> SyndromeTable:
             new = ~filled[uniq]
             leaders[uniq[new]] = chunk[first[new]]
             filled[uniq[new]] = True
-    return SyndromeTable(code, radius, code.dual_rows, leaders, filled)
+    return SyndromeTable(code, radius, leaders, filled)
 
 
 @dataclass(frozen=True)
@@ -213,7 +209,7 @@ def decode(codec: Codec, y: Word) -> DecodeResult | None:
     for x in enumerate_span(codec.cbal):
         calls += 1
         shifted = y.bits ^ x.bits
-        leader = table.leader(table.syndrome(shifted))
+        leader = table.leader(syndrome_bits(table.code, shifted))
         if leader is None:
             continue
         candidate = y.bits ^ leader  # equals (shifted ^ leader) ^ x.bits
@@ -309,6 +305,12 @@ def load_codec(manifest_path: str | Path) -> Codec:
 
     path = Path(manifest_path)
     manifest = json.loads(path.read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest {path} is not a JSON object")
+    # the keys save_codec writes
+    for key in ("n", "k_prime", "k_bal", "t_prime", "strict", "cprime_file", "cbal_file"):
+        if key not in manifest:
+            raise ValueError(f"manifest {path} has no {key!r}")
     gprime = load_generator_matrix(path.parent / manifest["cprime_file"])
     gbal = load_generator_matrix(path.parent / manifest["cbal_file"])
     codec = build_codec(gprime, gbal, manifest["t_prime"], manifest["strict"])

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf2 import LinearCode, Word, check_budget, enumerate_span, span_array
+from .gf2 import LinearCode, Word, check_budget, check_rows, enumerate_span, span_array
 from .balancing import (
     BalanceSpec,
     coset_counts,
@@ -211,20 +211,6 @@ def _autocorrelation(empty: np.ndarray) -> np.ndarray:
     return v
 
 
-def _syndrome_checks(n: int, basis: list[int]) -> list[int]:
-    """Check rows of the packed syndrome, one per free (non-pivot)
-    coordinate f, ascending: f plus the pivot of every basis row that
-    carries f, so its parity with y is bit f of y's coset minimum.  Those
-    pivots all lie above f, so h & -h is the free coordinate of check h."""
-    pivots = [b.bit_length() - 1 for b in basis]
-    taken = sum(1 << p for p in pivots)
-    return [
-        (1 << f) | sum(1 << p for p, b in zip(pivots, basis) if b >> f & 1)
-        for f in range(n)
-        if not taken >> f & 1
-    ]
-
-
 def _adjoin(basis: list[int], x: int) -> tuple[list[int], int]:
     """Add x, outside the span, to a fully reduced basis whose pivots are
     the rows' top bits.  Returns the new basis and x's coset minimum (x with
@@ -312,6 +298,8 @@ def greedy_balancing(
         _check_key(rng_seed)
     if max_dim is None:
         max_dim = n
+    if max_dim < 0:
+        raise ValueError(f"max_dim must be >= 0, got {max_dim}")
 
     size = 1 << n
     by_weight = _weight_scores(spec)
@@ -325,7 +313,10 @@ def greedy_balancing(
     while unc and len(rows) < max_dim:
         step = len(rows) + 1
         k = len(basis)
-        checks = _syndrome_checks(n, basis)
+        # check h has the free coordinate f and the pivots of the rows that
+        # carry f, all above f: h & -h is f, and y's syndrome bit for h is
+        # bit f of y's coset minimum
+        checks = check_rows(n, basis, [b.bit_length() - 1 for b in basis])
         x = -1
         for attempt in range(3 if mode == "sampled" else 0):
             cand = trial_rng(rng_seed, step * 4 + attempt).integers(
@@ -355,7 +346,8 @@ def greedy_balancing(
 
         basis, rep = _adjoin(basis, x)
         if not rows:
-            empty = coset_counts(spec, _syndrome_checks(n, basis)) == 0
+            pivots = [b.bit_length() - 1 for b in basis]
+            empty = coset_counts(spec, check_rows(n, basis, pivots)) == 0
         else:
             s = sum(1 << j for j, h in enumerate(checks) if rep & h & -h)
             empty = _fold(empty, s)

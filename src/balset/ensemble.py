@@ -163,10 +163,6 @@ def _uniform_words(n: int, count: int, rng: np.random.Generator) -> list[int]:
     ]
 
 
-def _uniform_word(n: int, rng: np.random.Generator) -> int:
-    return _uniform_words(n, 1, rng)[0]
-
-
 def sample_random_subspace(
     n: int,
     rows: int,

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator
+from functools import cache, cached_property
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +30,8 @@ __all__ = [
     "Word",
     "check_budget",
     "check_packed",
+    "check_rows",
+    "columns",
     "distance",
     "enumerate_span",
     "load_generator_matrix",
@@ -243,28 +245,49 @@ class LinearCode:
     @cached_property
     def dual_rows(self) -> tuple[int, ...]:
         """A basis of the dual code (words orthogonal to every codeword),
-        as integers.
-
-        One dual row per non-pivot coordinate f, ascending: bit f set, plus
-        the pivot of every basis row that carries a 1 at f.  Built by
-        walking each basis row's set non-pivot bits once.
-        """
-        basis, pivots = self._reduced
-        carried = [0] * self.n  # carried[f]: the pivots of the rows with f
-        for p, b in zip(pivots, basis):
-            rest = b ^ (1 << p)
-            while rest:
-                low = rest & -rest
-                carried[low.bit_length() - 1] |= 1 << p
-                rest ^= low
-        taken = sum(1 << p for p in pivots)
-        return tuple(
-            carried[f] | 1 << f for f in range(self.n) if not taken >> f & 1
-        )
+        as integers: check_rows of the RREF basis."""
+        return check_rows(self.n, *self._reduced)
 
     def dual_basis(self) -> tuple[Word, ...]:
         """dual_rows as words."""
         return tuple(Word(self.n, h) for h in self.dual_rows)
+
+
+def check_rows(n: int, basis: Iterable[int], pivots: Iterable[int]) -> tuple[int, ...]:
+    """Check rows of a fully reduced basis (each pivot set in its own row
+    only), which span the dual of its code.
+
+    One check row per non-pivot coordinate f, ascending: bit f set, plus
+    the pivot of every basis row that carries a 1 at f.  Built by walking
+    each basis row's set non-pivot bits once.
+    """
+    carried = [0] * n  # carried[f]: the pivots of the rows with f
+    taken = 0
+    for p, b in zip(pivots, basis):
+        rest = b ^ (1 << p)
+        while rest:
+            low = rest & -rest
+            carried[low.bit_length() - 1] |= 1 << p
+            rest ^= low
+        taken |= 1 << p
+    return tuple(carried[f] | 1 << f for f in range(n) if not taken >> f & 1)
+
+
+def columns(rows: Sequence[int], n: int) -> list[int]:
+    """Column vectors of the matrix with these n-bit rows, as ints (bit j
+    = row j's entry): the rows' little-endian bytes unpacked to bits, then
+    each column summed with weights 2^j, 64 rows at a time."""
+    nbytes = (n + 7) // 8
+    raw = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows), np.uint8)
+    bits = np.unpackbits(
+        raw.reshape(len(rows), nbytes), axis=1, count=n, bitorder="little"
+    ).astype(np.uint64)
+    cols = [0] * n
+    for lo in range(0, len(rows), 64):
+        chunk = bits[lo : lo + 64]
+        weights = np.left_shift(np.uint64(1), np.arange(len(chunk), dtype=np.uint64))
+        cols = [c | v << lo for c, v in zip(cols, (weights @ chunk).tolist())]
+    return cols
 
 
 def _check_span(what: str, k: int) -> None:
@@ -329,9 +352,7 @@ def parity_limb_tables(rows: Iterable[int], n: int) -> list[np.ndarray]:
     rows = list(rows)
     if len(rows) > 32:
         raise CapExceededError(f"check width {len(rows)} exceeds 32 bits")
-    col_syn = [
-        sum(((h >> c) & 1) << j for j, h in enumerate(rows)) for c in range(n)
-    ]
+    col_syn = columns(rows, n)
     return [
         xor_span(col_syn[limb : limb + 16], np.uint32)
         for limb in range(0, n, 16)
@@ -395,76 +416,61 @@ def save_generator_matrix(
 # ---------------------------------------------------------------------------
 # constant-weight enumeration
 #
-# Words of fixed weight w are produced in ascending integer order with a
-# lane-parallel Gosper step: the rank range is split into lanes, each lane
-# start is unranked combinatorially, and all lanes advance one word per
-# vectorized step.  This keeps generation fast without materializing more
-# than a chunk at a time.
+# Pascal's rule C(m, v) = C(m - 1, v) + C(m - 1, v - 1) splits the m-bit
+# words of weight v on their top bit.  Those with bit m - 1 clear are the
+# (m - 1)-bit words of weight v, and all of them come before those with it
+# set, which are 2^(m - 1) plus the (m - 1)-bit words of weight v - 1.  So
+# recursing on (m - 1, v) and then on (m - 1, v - 1), with the top bit
+# added to a prefix, yields the words in ascending order.  Once C(m, v)
+# fits _CHUNK_WORDS the rest is one block, built by the same split from
+# smaller blocks and ORed with the prefix.  The recursion reaches the
+# same (m, v) under many prefixes, so the blocks are kept for the call.
 
-def _unrank_weight_word(n: int, w: int, rank: int) -> int:
-    """The rank-th (0-based) smallest n-bit integer with w bits set."""
-    bits = 0
-    for p in range(n - 1, -1, -1):
-        if w == 0:
-            break
-        c = math.comb(p, w)
-        if c <= rank:
-            bits |= 1 << p
-            rank -= c
-            w -= 1
-    return bits
+_CHUNK_WORDS = 1 << 18  # words in one yielded chunk, at most
 
 
-def _gosper_step(v: np.ndarray) -> np.ndarray:
-    """Next same-weight word for every lane (none may be at the last word)."""
-    c = v & (~v + np.uint64(1))
-    r = v + c
-    shift = np.bitwise_count(c - np.uint64(1)) + np.uint64(2)
-    return r | ((v ^ r) >> shift)
-
-
-def weight_words_chunks(n: int, w: int, chunk: int = 1 << 22) -> Iterator[np.ndarray]:
-    """Yield all C(n, w) weight-w words in ascending order, chunk by chunk."""
+def _weight_blocks(
+    what: str, n: int, w: int
+) -> Iterator[tuple[np.ndarray, np.uint64]]:
+    """(block, prefix) pairs whose ORs, in turn, are the C(n, w) weight-w
+    words of length n in ascending order; no block is longer than
+    _CHUNK_WORDS.  weight_words ORs them straight into its output.  The
+    range and packing checks run before it returns."""
     if not 0 <= w <= n:
         raise ValueError(f"weight {w} out of range for length {n}")
-    check_packed("weight_words_chunks", n)
-    total = math.comb(n, w)
-    done = 0
-    while done < total:
-        cnt = min(chunk, total - done)
-        yield _fill_weight_words(n, w, done, cnt)
-        done += cnt
+    check_packed(what, n)
+
+    @cache
+    def block(m: int, v: int) -> np.ndarray:
+        if v in (0, m):
+            return np.array([(1 << v) - 1], dtype=np.uint64)
+        high = block(m - 1, v - 1) | np.uint64(1 << m - 1)
+        return np.concatenate([block(m - 1, v), high])
+
+    def split(m: int, v: int, prefix: int):
+        if math.comb(m, v) <= _CHUNK_WORDS:
+            yield block(m, v), np.uint64(prefix)
+        else:
+            yield from split(m - 1, v, prefix)
+            yield from split(m - 1, v - 1, prefix | 1 << m - 1)
+
+    return split(n, w, 0)
+
+
+def weight_words_chunks(n: int, w: int) -> Iterator[np.ndarray]:
+    """Yield all C(n, w) weight-w words in ascending order, in chunks of at
+    most _CHUNK_WORDS words."""
+    for block, prefix in _weight_blocks("weight_words_chunks", n, w):
+        yield block | prefix
 
 
 def weight_words(n: int, w: int) -> np.ndarray:
     """All C(n, w) weight-w words of length n, ascending (uint64)."""
-    if not 0 <= w <= n:
-        raise ValueError(f"weight {w} out of range for length {n}")
-    check_packed("weight_words", n)
+    blocks = _weight_blocks("weight_words", n, w)
     check_budget("weight_words", nbytes=8 * math.comb(n, w))
-    return _fill_weight_words(n, w, 0, math.comb(n, w))
-
-
-def _fill_weight_words(n: int, w: int, start_rank: int, count: int) -> np.ndarray:
-    out = np.empty(count, dtype=np.uint64)
-    if count == 0:
-        return out
-    if w == 0:
-        out[0] = 0
-        return out
-    lanes = min(count, 4096)
-    bounds = [start_rank + (count * i) // lanes for i in range(lanes + 1)]
-    v = np.array([_unrank_weight_word(n, w, b) for b in bounds[:-1]], dtype=np.uint64)
-    pos = np.array(bounds[:-1], dtype=np.int64) - start_rank
-    remaining = np.diff(bounds)
-    step = 0
-    max_len = int(remaining.max())
-    while step < max_len:
-        active = remaining > step
-        out[pos[active] + step] = v[active]
-        # advance only lanes that still need another word after this one
-        more = remaining > step + 1
-        if more.any():
-            v[more] = _gosper_step(v[more])
-        step += 1
+    out = np.empty(math.comb(n, w), dtype=np.uint64)
+    done = 0
+    for block, prefix in blocks:
+        np.bitwise_or(block, prefix, out=out[done : done + block.size])
+        done += block.size
     return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import CapExceededError, LinearCode, Word, check_budget
+from .gf2 import CapExceededError, LinearCode, Word, check_budget, columns
 from .balancing import BalanceSpec, coset_counts
 
 __all__ = [
@@ -161,25 +161,6 @@ def find_matching(g: TripartiteHypergraph) -> tuple[int, ...] | None:
     return tuple(picked) if place(1) else None
 
 
-def _columns(h: LinearCode) -> list[int]:
-    """Column vectors of the matrix as ints (bit j = row j's entry): the
-    rows' little-endian bytes unpacked to bits, then each column summed
-    with weights 2^j, 64 rows at a time."""
-    nbytes = (h.n + 7) // 8
-    raw = np.frombuffer(
-        b"".join(r.bits.to_bytes(nbytes, "little") for r in h.rows), np.uint8
-    )
-    bits = np.unpackbits(
-        raw.reshape(len(h.rows), nbytes), axis=1, count=h.n, bitorder="little"
-    ).astype(np.uint64)
-    cols = [0] * h.n
-    for lo in range(0, len(h.rows), 64):
-        chunk = bits[lo : lo + 64]
-        weights = np.left_shift(np.uint64(1), np.arange(len(chunk), dtype=np.uint64))
-        cols = [c | v << lo for c, v in zip(cols, (weights @ chunk).tolist())]
-    return cols
-
-
 def column_sum_reachable(
     h: LinearCode, s: int, w: int
 ) -> tuple[bool, tuple[int, ...] | None]:
@@ -190,7 +171,7 @@ def column_sum_reachable(
         raise CapExceededError(f"column search capped at {COLUMN_SEARCH_CAP} columns")
     if not 0 <= w <= h.n:
         return False, None
-    cols = _columns(h)
+    cols = columns([r.bits for r in h.rows], h.n)
     half = len(cols) // 2
     left, right = cols[:half], cols[half:]
     # first-found subset mask per (size, xor), masks ascending => lex-first
@@ -256,7 +237,7 @@ def _reachability_masks(h: LinearCode, top: int) -> np.ndarray:
     masks = np.zeros((limbs, 1 << width), dtype=np.uint64)
     masks[0, 0] = 1
     idx = np.arange(1 << width)
-    for col in _columns(h):
+    for col in columns([r.bits for r in h.rows], h.n):
         moved = masks[:, idx ^ col]
         up = moved << 1
         moved[:-1] >>= 63

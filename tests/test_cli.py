@@ -152,6 +152,10 @@ class TestGreedy:
         args = ("greedy", "--n", 12, "--mode", "sampled", "--seed", 5)
         assert run(*args)[1] == run(*args)[1]
 
+    def test_negative_max_dim_is_usage_error(self, run):
+        code, out, err = run("greedy", "--n", 8, "--max-dim", -2)
+        assert code == 2 and out == "" and "max_dim must be >= 0" in err
+
     @pytest.mark.parametrize("max_dim", [(), ("--max-dim", 0)])
     def test_seed_past_int64_is_usage_error(self, run, max_dim):
         code, out, err = run(
@@ -236,6 +240,10 @@ class TestEnsemble:
         code, out, err = run("ensemble", "--n", 8, "--rows", 3, "--trials", 5, "--seed", seed)
         assert code == 2 and out == "" and "outside" in err
 
+    def test_empty_rows_range_is_usage_error(self, run):
+        code, out, err = run("ensemble", "--n", 8, "--rows", "5..3")
+        assert code == 2 and out == "" and "empty row range '5..3'" in err
+
     def test_bad_thread_env_is_usage_error(self, run, monkeypatch):
         monkeypatch.setenv("BALSET_THREADS", "many")
         code, _, err = run("ensemble", "--n", 8, "--rows", 1)
@@ -260,6 +268,11 @@ class TestLemma1:
 
     def test_needs_matrix_or_n(self, run):
         assert run("lemma1")[0] == 2
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_no_random_codes_is_usage_error(self, run, count):
+        code, out, err = run("lemma1", "--n", 8, "--random", count)
+        assert code == 2 and out == "" and "--random must be >= 1" in err
 
     def test_seed_past_int64_is_usage_error(self, run):
         code, out, _ = run("lemma1", "--n", 6, "--random", 2, "--seed", 1 << 63)
@@ -356,6 +369,16 @@ class TestCodec:
 
     def test_missing_manifest_is_usage_error(self, run):
         assert run("codec", "encode", "--message", "1")[0] == 2
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"n": 16}', "has no 'k_prime'"),
+        ("5", "is not a JSON object"),
+    ])
+    def test_malformed_manifest_is_usage_error(self, run, tmp_path, text, message):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(text)
+        code, out, err = run("codec", "encode", "--manifest", manifest)
+        assert code == 2 and out == "" and message in err
 
 
 class TestReduce:

@@ -24,6 +24,7 @@ from balset import (
     save_codec,
     weight_words,
 )
+from balset.gf2 import syndrome_bits
 
 FIXTURE_MANIFEST = files("balset") / "fixtures" / "codec16_manifest.json"
 
@@ -84,7 +85,7 @@ class TestSyndromeTable:
         table = codec16.table
         for w in range(codec16.t_prime + 1):
             for e in weight_words(16, w):
-                assert table.leader(table.syndrome(int(e))) == int(e)
+                assert table.leader(syndrome_bits(table.code, int(e))) == int(e)
 
     def test_fill_count_is_ball_volume(self, codec16):
         assert int(codec16.table.filled.sum()) == hamming_volume(16, 3)
@@ -281,6 +282,15 @@ class TestPersistence:
         data["k_prime"] = 3
         manifest.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="manifest"):
+            load_codec(manifest)
+
+    @pytest.mark.parametrize("key", ["t_prime", "cbal_file", "k_bal"])
+    def test_manifest_missing_key_is_named(self, tmp_path, key):
+        manifest = save_codec(toy_codec(), tmp_path, stem="toy")
+        data = json.loads(manifest.read_text())
+        del data[key]
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"has no '{key}'"):
             load_codec(manifest)
 
     def test_packaged_fixture_consistent(self, codec16):

@@ -21,7 +21,6 @@ from balset.constructions import (
     GreedyStep,
     _adjoin,
     _fold,
-    _syndrome_checks,
     DimensionBounds,
     binary_entropy,
     dimension_bounds,
@@ -36,7 +35,7 @@ from balset.constructions import (
     simplex_extended,
     verify_sum_of_squares,
 )
-from balset.gf2 import CapExceededError, LinearCode, Word, enumerate_span
+from balset.gf2 import CapExceededError, LinearCode, Word, check_rows, enumerate_span
 
 
 # -- prefix-flip sets -----------------------------------------------------------
@@ -342,8 +341,13 @@ def test_packed_syndrome_orders_like_coset_minimum() -> None:
             # fully reduced: each pivot is set in its own row only
             assert all((b >> p & 1) == (i == j)
                        for i, b in enumerate(basis) for j, p in enumerate(pivots))
-            checks = _syndrome_checks(n, basis)
+            checks = check_rows(n, basis, pivots)
             assert len(checks) == n - len(basis)
+            # f plus the pivot of every row that carries f, per free f
+            assert list(checks) == [
+                (1 << f) | sum(1 << p for p, b in zip(pivots, basis) if b >> f & 1)
+                for f in range(n) if f not in pivots
+            ]
 
             def syndrome(words: np.ndarray) -> np.ndarray:
                 return sum(

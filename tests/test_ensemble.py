@@ -27,7 +27,7 @@ from balset import (
 from balset import ensemble
 from balset.balancing import coset_counts
 from balset.cli import main
-from balset.ensemble import _trial_stream, _uniform_word
+from balset.ensemble import _trial_stream, _uniform_words
 from test_balancing import one_odd_dual_code, seeded_code, with_ones
 
 
@@ -69,7 +69,7 @@ class TestTrialStreams:
     def test_uniform_word_respects_length(self):
         rng = trial_rng(1, 0)
         for _ in range(50):
-            assert 0 <= _uniform_word(11, rng) < 1 << 11
+            assert 0 <= _uniform_words(11, 1, rng)[0] < 1 << 11
 
     def test_reused_generator_matches_trial_rng(self):
         # trials draw from one Philox per thread, its state reset for each
@@ -135,7 +135,7 @@ class TestBlockDraw:
         for n in (1, 11, 32, 33, 64, 100):
             ref, rng = trial_rng(4, n), trial_rng(4, n)
             for _ in range(5):
-                assert _uniform_word(n, rng) == per_row_words(n, 1, ref)[0]
+                assert _uniform_words(n, 1, rng)[0] == per_row_words(n, 1, ref)[0]
             assert next_draws(rng) == next_draws(ref)
 
 
@@ -394,7 +394,7 @@ class TestWeightConcentration:
 
     def test_rank_zero_draw_is_vacuously_balanced(self):
         # seed 12 draws the zero word first for n = 4
-        assert _uniform_word(4, trial_rng(12, 0)) == 0
+        assert _uniform_words(4, 1, trial_rng(12, 0))[0] == 0
         rep = weight_concentration_check(4, Fraction(0), 1, 12)
         assert rep.e_holds == (True,)
         assert rep.uncovered == (10,)

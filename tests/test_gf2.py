@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from balset import gf2
 from balset.gf2 import (
     BYTES_CAP,
     CapExceededError,
@@ -298,22 +299,37 @@ def test_parse_empty_is_zero_code() -> None:
 
 # -- constant-weight enumeration ----------------------------------------------
 
-@pytest.mark.parametrize("n,w", [(1, 0), (5, 2), (8, 4), (10, 0), (10, 10), (12, 5)])
+@pytest.mark.parametrize("n,w", [(n, w) for n in range(17) for w in range(n + 1)])
 def test_weight_words_exact(n: int, w: int) -> None:
     words = weight_words(n, w)
-    assert len(words) == math.comb(n, w)
-    assert all(int(v).bit_count() == w for v in words)
-    assert list(words) == sorted(words)
-    expected = sorted(
-        sum(1 << p for p in pos) for pos in combinations(range(n), w)
-    )
-    assert [int(v) for v in words] == expected
+    assert words.dtype == np.uint64
+    expected = [sum(1 << p for p in pos) for pos in combinations(range(n), w)]
+    assert [int(v) for v in words] == sorted(expected)
+
+
+@pytest.mark.parametrize("n,w", [(64, 1), (64, 2), (64, 3), (30, 15)])
+def test_weight_words_chunks_wide_and_long(n: int, w: int) -> None:
+    """Count, strict ascending order and weight where the top bit is bit
+    63 (n = 64) and across the hundreds of chunks of (30, 15)."""
+    count, last = 0, -1
+    for part in weight_words_chunks(n, w):
+        assert 0 < part.size <= gf2._CHUNK_WORDS
+        assert int(part[0]) > last and (part[1:] > part[:-1]).all()
+        assert (np.bitwise_count(part) == w).all()
+        count, last = count + part.size, int(part[-1])
+    assert count == math.comb(n, w)
+    assert last == ((1 << w) - 1) << (n - w)
+    if n == 64:
+        expected = [sum(1 << p for p in pos) for pos in combinations(range(n), w)]
+        assert [int(v) for v in weight_words(n, w)] == sorted(expected)
 
 
 def test_weight_words_chunks_concatenate() -> None:
-    full = weight_words(14, 7)
-    parts = list(weight_words_chunks(14, 7, chunk=1000))
-    assert sum(len(p) for p in parts) == len(full)
+    # C(22, 11) = 705 432 words, in more than two chunks
+    full = weight_words(22, 11)
+    parts = list(weight_words_chunks(22, 11))
+    assert len(parts) > 2
+    assert all(0 < p.size <= gf2._CHUNK_WORDS for p in parts)
     assert np.array_equal(np.concatenate(parts), full)
 
 
