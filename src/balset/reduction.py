@@ -67,26 +67,38 @@ class TripartiteHypergraph:
 
 
 def parse_hypergraph(text: str) -> TripartiteHypergraph:
-    """Parse 't m' followed by m lines 'a b c'; '#' starts a comment."""
+    """Parse 't m' followed by m lines 'a b c'; '#' starts a comment.
+    Errors name the line (1-based, counting comments and blank lines)."""
     lines = []
-    for raw in text.splitlines():
+    for no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            lines.append(line)
+            lines.append((no, line))
     if not lines:
         raise ValueError("empty instance")
-    head = lines[0].split()
+
+    def ints(no: int, tokens: list[str]) -> list[int]:
+        out = []
+        for tok in tokens:
+            try:
+                out.append(int(tok))
+            except ValueError:
+                raise ValueError(f"line {no}: {tok!r} is not an integer") from None
+        return out
+
+    (no, line), edge_lines = lines[0], lines[1:]
+    head = line.split()
     if len(head) != 2:
-        raise ValueError(f"header must be 't m', got {lines[0]!r}")
-    t, m = int(head[0]), int(head[1])
-    if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
+        raise ValueError(f"line {no}: header must be 't m', got {line!r}")
+    t, m = ints(no, head)
+    if len(edge_lines) != m:
+        raise ValueError(f"expected {m} edge lines, found {len(edge_lines)}")
     edges = []
-    for line in lines[1:]:
+    for no, line in edge_lines:
         parts = line.split()
         if len(parts) != 3:
-            raise ValueError(f"edge line must have 3 vertices, got {line!r}")
-        edges.append(tuple(int(p) for p in parts))
+            raise ValueError(f"line {no}: edge line must have 3 vertices, got {line!r}")
+        edges.append(tuple(ints(no, parts)))
     g = TripartiteHypergraph(t, tuple(edges))
     uncovered = g.uncovered_vertices()
     if uncovered:
@@ -201,8 +213,16 @@ def column_sum_reachable(
     return False, None
 
 
-def _split_blocks(hprime: LinearCode, t: int, m: int) -> LinearCode:
-    """Validate the [[0 I], [H 0]] shape and return the embedded H."""
+def _split_blocks(hprime: LinearCode, t: int, m: int) -> list[tuple[int, int, int]]:
+    """Validate the [[0 I], [H 0]] shape and the edge blocks of H; return
+    each block's unit columns (u0, u1, u2) as their rows of H.
+
+    Block e of H is columns 8e..8e+7.  Its columns 4, 2 and 1 must be unit
+    vectors on one row of part 1, 2 and 3 (rows [0, t), [t, 2t), [2t, 3t)),
+    and its column c the XOR of those whose bit is set in c.  So in each
+    part exactly one row carries the part's byte (0xF0, 0xCC or 0xAA: bit c
+    set iff c has a_L = 1) in the block, and the part's other rows carry 0.
+    """
     i8 = 8 * m - 2 * t
     n = 16 * m - 2 * t
     if hprime.n != n or len(hprime.rows) != 8 * m + t:
@@ -213,37 +233,109 @@ def _split_blocks(hprime: LinearCode, t: int, m: int) -> LinearCode:
     for i, row in enumerate(hprime.rows[:i8]):
         if row.bits != 1 << (8 * m + i):
             raise ValueError(f"row {i + 1} is not the expected identity row")
-    bottom = []
     for i, row in enumerate(hprime.rows[i8:]):
         if row.bits & ~left_mask:
             raise ValueError(f"row {i8 + i + 1} spills outside the H block")
-        bottom.append(Word(8 * m, row.bits))
-    return LinearCode(8 * m, tuple(bottom))
+    h = [r.bits for r in hprime.rows[i8:]]
+    every_block = left_mask // 0xFF  # bit 0 of each block
+    blocks = [[0, 0, 0] for _ in range(m)]
+    bad = 0  # a set bit marks a column of a malformed block
+    for part, pattern in enumerate((0xF0, 0xCC, 0xAA)):
+        low = pattern & -pattern
+        seen = 0
+        for j in range(part * t, (part + 1) * t):
+            # the row's lowest pattern bit in each block it carries the pattern in
+            lead = h[j] & low * every_block
+            bad |= h[j] ^ lead * (pattern // low) | seen & lead
+            seen |= lead
+            while lead:
+                bit = lead & -lead
+                blocks[(bit.bit_length() - 1) >> 3][part] = j
+                lead ^= bit
+        bad |= low * every_block & ~seen
+    if bad:
+        e = ((bad & -bad).bit_length() - 1) >> 3
+        raise ValueError(
+            f"columns {8 * e + 1}..{8 * e + 8} of H are not the block of edge {e + 1}"
+        )
+    return [tuple(b) for b in blocks]
 
 
-def _reachability_masks(h: LinearCode, top: int) -> np.ndarray:
+# array passes one edge step makes over the table: five to OR the flips,
+# fourteen to shift and OR the sizes
+_EDGE_PASSES = 19
+
+
+def _shift_up(x: np.ndarray, k: int, out: np.ndarray) -> None:
+    """out = x << k for 0 < k < 64, limbs on axis -2, the top k bits of each
+    limb carried into the next; out may be x."""
+    carry = x[..., :-1, :] >> np.uint64(64 - k) if x.shape[-2] > 1 else None
+    np.left_shift(x, np.uint64(k), out=out)
+    if carry is not None:
+        out[..., 1:, :] |= carry
+
+
+def _reachability_masks(
+    blocks: list[tuple[int, int, int]], width: int, top: int
+) -> np.ndarray:
     """masks[:, s] has bit w set (bit w % 64 of limb w // 64) iff s is a XOR
-    of exactly w distinct columns of h, for every count w <= top.
+    of exactly w distinct columns of H, for every count w <= top; H has
+    `width` rows and one edge block per entry of `blocks`, the rows of its
+    unit columns (u0, u1, u2).
 
-    Adding a column col to the pool moves every syndrome's counts from s to
-    s ^ col, one up: one gather of all limbs, one shift up by one bit with
-    the carry between limbs, one OR.  Refuses with CapExceededError before
-    allocating anything when the passes exceed WORK_CAP or the working set
-    exceeds BYTES_CAP.
+    The 8 columns of an edge block are all of span(u0, u1, u2).  Their
+    subsets XOR to 0 with sizes M0 = {0, 1, 3, 4, 5, 7, 8} and to each
+    nonzero a of the span with sizes M1 = {1, ..., 7}, so one step per edge
+    takes the table to
+
+        new[s] = old[s] . M0 | R[s] . M1,  R[s] = OR over a != 0 of old[s ^ a],
+
+    where x . M is the OR of x << j over j in M.  R comes from flips of
+    the syndrome axis, as views: A = flip_u0(old), V1 = old | A,
+    B = flip_u1(V1), V2 = V1 | B, C = flip_u2(V2), R = A | B | C.  The
+    shifts double up: old . M0 is old . {0, 1} . {0, 3} . {0, 4} and R . M1
+    is (R << 1) . {0, 1} . {0, 3} . {0, 2}; the first two factors run on
+    both at once.  Refuses with CapExceededError before allocating anything
+    when the passes exceed WORK_CAP or the working set exceeds BYTES_CAP.
     """
-    width, limbs = len(h.rows), top // 64 + 1
-    # masks, the gathered copy and its shift, the index and its XOR, per syndrome
-    check_budget("structural", h.n * limbs << width, (3 * limbs + 2) * 8 << width)
-    masks = np.zeros((limbs, 1 << width), dtype=np.uint64)
-    masks[0, 0] = 1
-    idx = np.arange(1 << width)
-    for col in columns([r.bits for r in h.rows], h.n):
-        moved = masks[:, idx ^ col]
-        up = moved << 1
-        moved[:-1] >>= 63
-        up[1:] |= moved[:-1]
-        masks |= up
-    return masks
+    limbs = top // 64 + 1
+    # two rows of limbs (old and R), two of scratch, and the carries of a
+    # two-row shift
+    check_budget(
+        "structural",
+        _EDGE_PASSES * len(blocks) * limbs << width,
+        8 * (4 * limbs + 2 * (limbs - 1)) << width,
+    )
+    state = np.zeros((2, limbs, 1 << width), dtype=np.uint64)
+    spare = np.empty_like(state)
+    old, reach = state
+    v1, v2 = spare
+    old[0, 0] = 1
+
+    def flips(r: int, *arrays: np.ndarray) -> list[np.ndarray]:
+        """Views with bit r of the syndrome as axis 2 (flip it with ::-1)."""
+        return [a.reshape(limbs, -1, 2, 1 << r) for a in arrays]
+
+    for r0, r1, r2 in blocks:
+        o, a, r = flips(r0, old, v1, reach)
+        np.bitwise_or(o, o[:, :, ::-1], out=a)
+        np.copyto(r, o[:, :, ::-1])
+        a, b, r = flips(r1, v1, v2, reach)
+        r |= a[:, :, ::-1]
+        np.bitwise_or(a, a[:, :, ::-1], out=b)
+        b, r = flips(r2, v2, reach)
+        r |= b[:, :, ::-1]
+        _shift_up(reach, 1, reach)
+        _shift_up(state, 1, spare)
+        state |= spare
+        _shift_up(state, 3, spare)
+        state |= spare
+        _shift_up(old, 4, v1)
+        old |= v1
+        _shift_up(reach, 2, v2)
+        reach |= v2
+        old |= reach
+    return old
 
 
 def _resolve_method(n: int, t: int, m: int, method: str) -> str:
@@ -267,8 +359,12 @@ def every_coset_has_balanced_word(
     (s_top, s_bot) has a weight-(8m-t) word iff s_bot is a XOR of exactly
     8m - t - weight(s_top) distinct columns of H.  One table decides every
     syndrome at once: for each s_bot in 2^(3t), a bitmask whose bit w says
-    "s_bot is a XOR of exactly w distinct columns", built with one gather
-    and one shift per column (_reachability_masks).  The answer is no iff
+    "s_bot is a XOR of exactly w distinct columns", built one edge block
+    at a time (_reachability_masks): the block's subsets reach XOR 0 with
+    sizes M0 = {0, 1, 3, 4, 5, 7, 8} and every nonzero XOR of its span
+    with sizes M1 = {1, ..., 7}, so each step is three axis flips and a
+    few shifts of the whole table.  Both methods first check that hprime
+    is [[0 I], [H 0]] with H made of edge blocks.  The answer is no iff
     some count w in [t, 8m - t] is missing from some mask; the
     counterexample takes the smallest such w, then the smallest such s_bot,
     with s_top = 2^(8m-t-w) - 1.  The table's passes and working set are
@@ -276,7 +372,7 @@ def every_coset_has_balanced_word(
 
     Both methods agree; bucket is capped at 8m + t <= 18 and 16m - 2t <= 28.
     """
-    h = _split_blocks(hprime, t, m)
+    blocks = _split_blocks(hprime, t, m)
     i8 = 8 * m - 2 * t
     target = 8 * m - t
     method = _resolve_method(hprime.n, t, m, method)
@@ -293,7 +389,7 @@ def every_coset_has_balanced_word(
         return False, int(missing[0])
     if method != "structural":
         raise ValueError(f"unknown method {method!r}")
-    masks = _reachability_masks(h, target)
+    masks = _reachability_masks(blocks, 3 * t, target)
     limbs = np.bitwise_and.reduce(masks, axis=1).tolist()
     everywhere = sum(v << 64 * i for i, v in enumerate(limbs))
     missing = ~everywhere & ((1 << (target + 1)) - (1 << t))

@@ -443,6 +443,16 @@ class TestReduce:
         path = self.write(tmp_path, "bad.txt", "2 2\n1 1 1\n")
         assert run("reduce", "--hypergraph", path, "--out", tmp_path)[0] == 2
 
+    @pytest.mark.parametrize("text,message", [
+        ("2 x\n1 1 1\n2 2 2\n", "line 1: 'x' is not an integer"),
+        ("# pair\n2 2\n1 1 1\n2 b 2\n", "line 4: 'b' is not an integer"),
+    ])
+    def test_non_integer_token_named(self, run, tmp_path, text, message):
+        path = self.write(tmp_path, "bad.txt", text)
+        code, out, err = run("reduce", "--hypergraph", path, "--verify", "--out", tmp_path)
+        assert code == 2 and out == ""
+        assert f"error: {message}" in err
+
 
 def test_console_script_installed():
     proc = subprocess.run(

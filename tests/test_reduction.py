@@ -27,6 +27,7 @@ from balset.reduction import (
     MATCHING_T_CAP,
     TripartiteHypergraph,
     _reachability_masks,
+    _split_blocks,
 )
 
 ALL_EDGES_T2 = [(a, b, c) for a in (1, 2) for b in (1, 2) for c in (1, 2)]
@@ -62,6 +63,38 @@ def bool_reachability_table(h: LinearCode) -> np.ndarray:
         for w in range(len(cols) - 1, -1, -1):
             dp[w + 1][shuffled] |= dp[w]
     return dp
+
+
+def per_column_masks(h: LinearCode, top: int) -> np.ndarray:
+    """The column-at-a-time table _reachability_masks replaced: adding a
+    column col moves every syndrome's counts from s to s ^ col, one up
+    (one gather, one shift with the carry between limbs, one OR)."""
+    masks = np.zeros((top // 64 + 1, 1 << len(h.rows)), dtype=np.uint64)
+    masks[0, 0] = 1
+    idx = np.arange(1 << len(h.rows))
+    for col in columns(h):
+        moved = masks[:, idx ^ col]
+        up = moved << np.uint64(1)
+        moved[:-1] >>= np.uint64(63)
+        up[1:] |= moved[:-1]
+        masks |= up
+    return masks
+
+
+def edge_block_masks(g: TripartiteHypergraph, top: int) -> np.ndarray:
+    hp = build_Hprime(build_H(g), g.t, g.m)
+    return _reachability_masks(_split_blocks(hp, g.t, g.m), 3 * g.t, top)
+
+
+def structural_from_masks(masks: np.ndarray, t: int, m: int):
+    """The coset-side verdict read off a count table, smallest missing
+    count first, then the smallest syndrome missing it."""
+    target = 8 * m - t
+    for w in range(t, target + 1):
+        bad = np.flatnonzero((masks[w >> 6] >> np.uint64(w & 63) & np.uint64(1)) == 0)
+        if bad.size:
+            return False, (1 << (target - w)) - 1 | int(bad[0]) << (8 * m - 2 * t)
+    return True, None
 
 
 def structural_from_bool_table(h: LinearCode, t: int, m: int):
@@ -392,7 +425,7 @@ class TestEveryCoset:
                     g = seeded_graph(rng, t, m, planted)
                     h = build_H(g)
                     top = 8 * m - t
-                    masks = _reachability_masks(h, top)
+                    masks = edge_block_masks(g, top)
                     assert masks.shape == (top // 64 + 1, 1 << 3 * t)
                     dp = bool_reachability_table(h)
                     for w in range(top + 1):
@@ -402,6 +435,33 @@ class TestEveryCoset:
                     assert every_coset_has_balanced_word(
                         hp, t, m, "structural"
                     ) == structural_from_bool_table(h, t, m), g
+
+    @pytest.mark.parametrize("t", range(1, 6))
+    def test_edge_block_step_equals_per_column_passes(self, t):
+        # seeded instances up to m = 10 (8m - t >= 64 needs two limbs):
+        # random edges, which repeat at small t, a planted matching, and
+        # one edge repeated m times
+        rng = np.random.default_rng(24 + t)
+        for m in range(1, 11):
+            if 8 * m < 2 * t:
+                continue
+            edge = tuple(int(v) for v in rng.integers(1, t + 1, size=3))
+            for g in (
+                seeded_graph(rng, t, m, planted=False),
+                seeded_graph(rng, t, m, planted=True),
+                graph(t, *[edge] * m),
+            ):
+                h = build_H(g)
+                top = 8 * m - t
+                got, want = edge_block_masks(g, top), per_column_masks(h, top)
+                assert got.shape == want.shape == (top // 64 + 1, 1 << 3 * t)
+                last = np.uint64((1 << top % 64 + 1) - 1)  # bits <= top
+                assert np.array_equal(got[:-1], want[:-1]), g
+                assert np.array_equal(got[-1] & last, want[-1] & last), g
+                hp = build_Hprime(h, t, m)
+                assert every_coset_has_balanced_word(
+                    hp, t, m, "structural"
+                ) == structural_from_masks(want, t, m), g
 
     def test_t2_census_matching_agrees_with_structural(self):
         negatives = 0
@@ -422,9 +482,9 @@ class TestEveryCoset:
         g = graph(9, (1, 2, 3), (4, 5, 6), (7, 8, 9))
         hp = build_Hprime(build_H(g), 9, 3)
         start = time.perf_counter()
-        # 24 column passes over one limb of 2^27 syndromes (and 40 bytes
-        # per syndrome, also over BYTES_CAP)
-        with pytest.raises(CapExceededError, match=f"structural: estimated work {24 << 27} exceeds WORK_CAP"):
+        # 19 passes for each of 3 edges over one limb of 2^27 syndromes
+        # (and 32 bytes per syndrome, also over BYTES_CAP)
+        with pytest.raises(CapExceededError, match=f"structural: estimated work {57 << 27} exceeds WORK_CAP"):
             every_coset_has_balanced_word(hp, 9, 3, "structural")
         assert time.perf_counter() - start < 1.0
 
@@ -458,6 +518,40 @@ class TestEveryCoset:
             every_coset_has_balanced_word(spilled, 1, 1)
         with pytest.raises(ValueError, match="expected"):
             every_coset_has_balanced_word(hp, 2, 2)
+        # H' with columns 3 and 4 of H swapped: the block still holds all of
+        # F_2^3, but column 4 is no unit vector
+        swapped = [r.bits ^ ((r.bits >> 3 ^ r.bits >> 4) & 1) * 0b11000 for r in hp.rows[6:]]
+        swapped_hp = LinearCode(14, hp.rows[:6] + tuple(Word(14, r) for r in swapped))
+        with pytest.raises(ValueError, match=r"columns 1\.\.8 of H are not the block of edge 1"):
+            every_coset_has_balanced_word(swapped_hp, 1, 1)
+
+    @pytest.mark.parametrize("method", ["bucket", "structural"])
+    def test_malformed_edge_blocks_rejected(self, method):
+        g = graph(2, (1, 2, 1), (2, 1, 2))
+        hp = build_Hprime(build_H(g), 2, 2)
+        i8 = 8 * 2 - 2 * 2
+
+        def with_h(rows):
+            return LinearCode(hp.n, hp.rows[:i8] + tuple(Word(hp.n, r) for r in rows))
+
+        h = [r.bits for r in hp.rows[i8:]]
+        assert _split_blocks(hp, 2, 2) == [(0, 3, 4), (1, 2, 5)]
+
+        # columns 7 and 8 swapped, across blocks: the first block it breaks
+        swapped = [r ^ ((r >> 7 ^ r >> 8) & 1) * 0x180 for r in h]
+        with pytest.raises(ValueError, match="block of edge 1"):
+            every_coset_has_balanced_word(with_h(swapped), 2, 2, method)
+        # parts 1 and 2 swapped: the units sit in the wrong rows
+        with pytest.raises(ValueError, match="block of edge 1"):
+            every_coset_has_balanced_word(with_h(h[2:4] + h[:2] + h[4:]), 2, 2, method)
+        # a part with two rows on one block, or none, in the second block
+        with pytest.raises(ValueError, match="block of edge 2"):
+            every_coset_has_balanced_word(with_h([h[0] | 0xF0 << 8] + h[1:]), 2, 2, method)
+        with pytest.raises(ValueError, match="block of edge 2"):
+            every_coset_has_balanced_word(with_h(h[:5] + [h[5] ^ 0xAA << 8]), 2, 2, method)
+        # a stray bit in a row that carries no pattern there
+        with pytest.raises(ValueError, match="block of edge 2"):
+            every_coset_has_balanced_word(with_h([h[0] | 1 << 9] + h[1:]), 2, 2, method)
 
 
 class TestFactOneInvariant:
